@@ -240,12 +240,8 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
   };
 
   // Roots.
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { process_slot(slot, nullptr); });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      process_slot(&slot, nullptr);
-    }
-  });
+  ForEachRootSlot(heap_, safepoints_,
+                  [&](std::atomic<Object*>* slot) { process_slot(slot, nullptr); });
   // Remembered-set sources.
   std::vector<bool> seen(regions.num_regions(), false);
   for (Region* r : cset) {
@@ -327,9 +323,7 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kYoung, copied});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kYoung));
+  RecordPause({t0, t1 - t0, PauseKind::kYoung, copied});
   if (profiler_ != nullptr) {
     profiler_->OnGcEnd({metrics_.GcCycles(), t1 - t0, PauseKind::kYoung});
   }
@@ -359,18 +353,10 @@ void CmsCollector::MaybeStartCycleLocked() {
     }
   });
   std::lock_guard<SpinLock> guard(gray_lock_);
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
+  ForEachRootSlot(heap_, safepoints_, [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v != nullptr) {
       gray_queue_.push_back(v);
-    }
-  });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      Object* v = slot.load(std::memory_order_relaxed);
-      if (v != nullptr) {
-        gray_queue_.push_back(v);
-      }
     }
   });
   phase_.store(Phase::kMarking, std::memory_order_release);
@@ -450,18 +436,10 @@ void CmsCollector::RemarkAndSweep(uint64_t t0) {
   // Final remark: rescan roots, drain everything (world is stopped).
   {
     std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
+    ForEachRootSlot(heap_, safepoints_, [&](std::atomic<Object*>* slot) {
       Object* v = slot->load(std::memory_order_relaxed);
       if (v != nullptr) {
         gray_queue_.push_back(v);
-      }
-    });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
       }
     });
   }
@@ -538,9 +516,7 @@ void CmsCollector::RemarkAndSweep(uint64_t t0) {
   phase_.store(Phase::kIdle, std::memory_order_release);
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kCmsRemark, 0});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kCmsRemark));
+  RecordPause({t0, t1 - t0, PauseKind::kCmsRemark, 0});
   metrics_.IncrementGcCycles();
   if (profiler_ != nullptr) {
     profiler_->OnGcEnd({metrics_.GcCycles(), t1 - t0, PauseKind::kCmsRemark});
@@ -572,9 +548,7 @@ void CmsCollector::DoFull(uint64_t t0) {
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kFull, moved});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kFull));
+  RecordPause({t0, t1 - t0, PauseKind::kFull, moved});
   if (profiler_ != nullptr) {
     profiler_->OnGcEnd({metrics_.GcCycles(), t1 - t0, PauseKind::kFull});
   }

@@ -6,6 +6,7 @@
 #include "src/util/crash_context.h"
 #include "src/util/log.h"
 #include "src/util/metrics_registry.h"
+#include "src/util/trace.h"
 
 namespace rolp {
 
@@ -23,6 +24,12 @@ void Collector::AllocationBackoff(int attempt) {
   }
   int shift = attempt - 4 < 7 ? attempt - 4 : 7;
   std::this_thread::sleep_for(std::chrono::microseconds(1 << shift));
+}
+
+void Collector::RecordPause(const PauseRecord& rec) {
+  metrics_.RecordPause(rec);
+  Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
+                      static_cast<uint64_t>(rec.kind));
 }
 
 bool Collector::ApplyVerification(const char* when, const HeapVerifier::Report& report) {

@@ -110,6 +110,9 @@ class Collector {
   const VerifyStats& verify_stats() const { return verify_stats_; }
 
  protected:
+  // Logs a pause in the metrics together with its "gc.pause" trace span.
+  void RecordPause(const PauseRecord& rec);
+
   // Recovery policy for a completed verification pass: account the report,
   // log findings, abort (with crash context) on fatal corruption, and push
   // the profiler into degraded mode otherwise. Returns true if the report

@@ -226,13 +226,13 @@ HeapVerifier::Report HeapVerifier::Verify() {
     VerifyRegion(r, &report);
   });
   // Roots point at plausible, unforwarded objects.
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleObject(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -243,14 +243,7 @@ HeapVerifier::Report HeapVerifier::Verify() {
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_, safepoints_, check_root);
   return report;
 }
 
@@ -330,13 +323,13 @@ HeapVerifier::Report HeapVerifier::VerifyPostMark(const MarkBitmap* bitmap,
         }
       });
   // Reachability spot check: everything a root names was just marked.
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleObject(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -349,14 +342,7 @@ HeapVerifier::Report HeapVerifier::VerifyPostMark(const MarkBitmap* bitmap,
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_, safepoints_, check_root);
   return report;
 }
 
@@ -434,17 +420,9 @@ uint32_t HeapVerifier::CheckSlotAgainstDoomed(std::atomic<Object*>* slot,
 
 void HeapVerifier::CheckRootsAgainstDoomed(const std::vector<uint8_t>& doomed_map,
                                            Report* report) {
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
-    (void)CheckSlotAgainstDoomed(slot, nullptr, doomed_map, report, what);
-  };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_, safepoints_, [&](std::atomic<Object*>* slot) {
+    (void)CheckSlotAgainstDoomed(slot, nullptr, doomed_map, report, "root");
+  });
 }
 
 HeapVerifier::Report HeapVerifier::VerifyCollectionSet(const std::vector<Region*>& doomed,
@@ -704,13 +682,13 @@ HeapVerifier::Report HeapVerifier::VerifySampledWalk(WorkerPool* workers,
         WalkRegionChecked(r, opts, repair, local);
       });
   // Roots point at plausible, unforwarded objects (always checked).
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleObject(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -721,14 +699,7 @@ HeapVerifier::Report HeapVerifier::VerifySampledWalk(WorkerPool* workers,
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_, safepoints_, check_root);
   return report;
 }
 

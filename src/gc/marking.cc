@@ -59,12 +59,8 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
 
   // Gather root slots (world is stopped; plain snapshot is safe).
   std::vector<std::atomic<Object*>*> roots;
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-  safepoints->ForEachThread([&](MutatorContext* ctx) {
-    for (auto& slot : ctx->local_roots) {
-      roots.push_back(&slot);
-    }
-  });
+  ForEachRootSlot(heap_, safepoints,
+                  [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
 
   if (workers == nullptr || workers->size() == 1) {
     // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.

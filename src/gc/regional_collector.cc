@@ -20,16 +20,19 @@ namespace {
 constexpr int kMaxAllocationAttempts = 16;
 }  // namespace
 
-// Everything one concurrent evacuation cycle owns, alive from the arming
-// pause to the end of the final remap pause. Mutators reach it through
-// HealSlot; the pointer itself only changes inside pauses, so no lock guards
-// it (a mutator cannot be mid-heal across a pause — there is no safepoint
-// poll inside the load barrier).
-struct RegionalCollector::ConcurrentCycle {
-  ConcurrentCycle(Heap* heap, const GcConfig* config, ProfilerHooks* profiler,
-                  bool survivor_tracking, uint32_t num_workers)
-      : task(heap, config, profiler, survivor_tracking, &cancel), pool(num_workers) {
-    task.set_concurrent(true);
+// Everything one evacuation cycle owns. An STW collection runs its cycle to
+// completion inside the pause — the zero-length-window case. A concurrent
+// cycle lives in cycle_ from the arming pause to the end of the final remap
+// pause; mutators reach it through HealSlot. That pointer only changes inside
+// pauses, so no lock guards it (a mutator cannot be mid-heal across a pause —
+// there is no safepoint poll inside the load barrier).
+struct RegionalCollector::EvacuationCycle {
+  EvacuationCycle(Heap* heap, const GcConfig* config, ProfilerHooks* profiler,
+                  bool survivor_tracking, uint32_t num_workers, bool concurrent)
+      : task(heap, config, profiler, survivor_tracking, &cancel),
+        pool(num_workers),
+        concurrent(concurrent) {
+    task.set_concurrent(concurrent);
     task.set_pool(&pool);
     eworkers.reserve(num_workers);
     for (uint32_t w = 0; w < num_workers; w++) {
@@ -41,11 +44,17 @@ struct RegionalCollector::ConcurrentCycle {
   EvacuationTask task;
   WorkStealingPool<Object*> pool;
   std::vector<EvacuationTask::Worker> eworkers;
+  const bool concurrent;
+  bool mixed = false;
+  bool trust_marks = false;
+  uint64_t evac_t0 = 0;     // evacuation start in the first pause (gc.pause.evac)
+  uint64_t remap_cpu0 = 0;  // concurrent: driver thread CPU at remap-pause start
   std::vector<Region*> cset;
   std::vector<Region*> remset_sources;
   std::vector<Region*> scrub_list;
-  bool mixed = false;
-  bool trust_marks = false;
+  // Root slots, claimed by the workers in chunks. Empty once a concurrent
+  // cycle is armed: the arming pause heals every root itself.
+  std::vector<std::atomic<Object*>*> roots;
   std::atomic<size_t> unit_cursor{0};
 };
 
@@ -477,12 +486,8 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
 
   // Roots.
   std::vector<std::atomic<Object*>*> roots;
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      roots.push_back(&slot);
-    }
-  });
+  ForEachRootSlot(heap_, safepoints_,
+                  [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
 
   // Everything since pause start except marking was pause-side scanning
   // (occupancy, fragmentation, dead-humongous, cset selection, roots, remset
@@ -490,246 +495,132 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
   uint64_t evac_t0 = NowNs();
   metrics_.AddPauseScanNs(evac_t0 - t0 - mark_ns);
 
-  bool survivor_tracking_on =
-      profiler_ != nullptr && profiler_->SurvivorTrackingEnabled();
-  if (config_.concurrent_evac && !cset.empty()) {
+  // An empty collection set has nothing to copy concurrently; it finishes as
+  // an STW pause (the zero-length window).
+  const bool concurrent = config_.concurrent_evac && !cset.empty();
+  auto cycle = std::make_unique<EvacuationCycle>(
+      heap_, &config_, profiler_, profiler_ != nullptr && profiler_->SurvivorTrackingEnabled(),
+      n, concurrent);
+  EvacuationCycle& c = *cycle;
+  c.mixed = mixed;
+  c.trust_marks = trust_marks;
+  c.evac_t0 = evac_t0;
+  c.cset = std::move(cset);
+  c.remset_sources = std::move(remset_sources);
+  c.scrub_list = std::move(scrub_list);
+  c.roots = std::move(roots);
+  if (concurrent) {
     // Hand the copying off-pause: flag the cset, heal the roots, arm the
     // barrier, and return — TryCollect's EndOperation resumes the mutators
     // while the driver thread runs the copy workers.
-    StartConcurrentEvacuation(std::move(cset), std::move(remset_sources),
-                              std::move(scrub_list), std::move(roots), mixed, trust_marks,
-                              survivor_tracking_on, t0, mark_ns, evac_t0);
+    StartConcurrentEvacuation(std::move(cycle), t0, mark_ns);
     return;
   }
-
-  // ---- Work-stealing evacuation -------------------------------------------
-  // Scan units (root-slot chunks, then one unit per remset source region) are
-  // claimed from a shared cursor; every object needing a referent scan —
-  // to-space copies and live source-region objects alike — becomes an item on
-  // the claiming worker's Chase-Lev deque, stealable by idle workers. The
-  // pool's outstanding counter (scan units pre-added, items counted at Push)
-  // provides termination: a worker whose queues all look empty spins until
-  // the counter drains, since a straggler may still publish work.
-  CancellationToken evac_cancel;
-  EvacuationTask task(heap_, &config_, profiler_, survivor_tracking_on, &evac_cancel);
-  WorkStealingPool<Object*> pool(n);
-  task.set_pool(&pool);
-  std::vector<EvacuationTask::Worker> eworkers;
-  eworkers.reserve(n);
-  for (uint32_t w = 0; w < n; w++) {
-    eworkers.push_back(task.MakeWorker(w));
-  }
-  const size_t chunk = StealChunkSize();
-  const size_t root_units = (roots.size() + chunk - 1) / chunk;
-  const size_t total_units = root_units + remset_sources.size();
-  pool.AddOutstanding(static_cast<int64_t>(total_units));
-  std::atomic<size_t> unit_cursor{0};
-  {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &evac_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
-    workers_->RunTask([&](uint32_t w) {
-      // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
-      (void)ROLP_FAULT_POINT("gc.phase.evacuate.stall");
-      EvacuationTask::Worker& ew = eworkers[w];
-      for (;;) {
-        size_t u = unit_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (u >= total_units) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        if (u < root_units) {
-          size_t begin = u * chunk;
-          size_t end = begin + chunk < roots.size() ? begin + chunk : roots.size();
-          for (size_t i = begin; i < end; i++) {
-            ew.ProcessRootSlot(roots[i], nullptr);
-          }
-        } else {
-          // Source regions enqueue their live objects as stealable items
-          // rather than scanning inline: one dense region no longer
-          // serializes the phase on whichever worker claimed it.
-          Region* s = remset_sources[u - root_units];
-          s->ForEachObject([&](Object* obj) {
-            if (trust_marks && !bitmap_.IsMarked(obj)) {
-              return;  // precise: skip dead objects when marks are fresh
-            }
-            pool.Push(w, obj);
-          });
-        }
-        pool.FinishOne();
-      }
-      // Drain: keep scanning until the whole phase is done. No cancellation
-      // bail-out here — once cancelled, EvacuateOrForward self-forwards
-      // everything it meets, so the remaining work is bounded slot healing
-      // that must still happen for the heap to stay parsable.
-      uint64_t steps = 0;
-      Object* obj = nullptr;
-      for (;;) {
-        if (pool.TryGet(w, &obj)) {
-          ew.ScanObject(obj);
-          pool.FinishOne();
-          if ((++steps & 63) == 0) {
-            workers_->Heartbeat(w);
-          }
-          continue;
-        }
-        if (pool.Done()) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        std::this_thread::yield();
-      }
-      ew.Finish();
-    });
-  }
-
-  if (!scrub_list.empty()) {
-    WatchdogPhaseScope scrub_scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
-    workers_->ParallelFor(scrub_list.size(), 1, [&](uint32_t w, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; i++) {
-        workers_->Heartbeat(w);
-        ScrubDeadObjects(scrub_list[i], bitmap_);
-      }
-    });
-  }
-
-  task.RestoreSelfForwarded(eworkers);
-  std::vector<Region*> doomed;
-  doomed.reserve(cset.size());
-  for (Region* r : cset) {
-    if (r->evac_failed()) {
-      // In-place survivors: the region is retired to old; scrubbing turns the
-      // stale originals of copied objects into free blocks and re-records the
-      // survivors' remset edges under the region's new (old) kind.
-      r->set_evac_failed(false);
-      r->set_in_cset(false);
-      regions.RetireToOld(r);
-      ScrubRetiredEvacFailure(r);
-    } else {
-      doomed.push_back(r);
-    }
-  }
-
-  metrics_.AddPauseEvacNs(NowNs() - evac_t0);
-
-  // Post-evacuation verification: no root and no surviving object may still
-  // reference an unforwarded object in a region about to be freed. Regions
-  // that fail the check are quarantined (kept, pinned as old) instead of
-  // freed — the process keeps serving with bounded garbage retention.
-  if (verify_options_.enabled() && !doomed.empty()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifyCollectionSet(
-        doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,
-        trust_marks ? &bitmap_ : nullptr);
-    if (ApplyVerification("post-evacuation", report)) {
-      QuarantineFlagged(&verifier, doomed, &report);
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-  for (Region* r : doomed) {
-    if (!r->quarantined()) {
-      regions.FreeRegion(r);
-    }
-  }
-
-  // Sampled structural walk (rotating 1-in-N coverage): region tiling,
-  // reference plausibility, stale forwarding, remset completeness, and the
-  // OLD-table cross-check. Runs with repair on — dangling references are
-  // nulled and missing remset entries re-added rather than only reported.
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("sampled-walk", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          // Broken tiling: the region can never be walked again.
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-
-  uint64_t copied = 0;
-  uint64_t promoted = 0;
-  for (uint32_t w = 0; w < n; w++) {
-    EvacuationTask::Worker& ew = eworkers[w];
-    copied += ew.bytes_copied();
-    promoted += ew.bytes_promoted();
-    metrics_.AddWorkerCopiedBytes(w, ew.bytes_copied());
-  }
-  metrics_.AddBytesCopied(copied);
-  metrics_.AddBytesPromoted(promoted);
-  metrics_.IncrementGcCycles();
-  heap_->UpdateMaxUsedBytes();
-
-  uint64_t t1 = NowNs();
-  uint64_t pause_ns = t1 - t0 - mark_ns;
-  if (ROLP_FAULT_POINT("gc.pause.inflate")) {
-    pause_ns += 10 * 1000 * 1000;  // report +10ms (drives pause-regression heuristics)
-  }
-  PauseRecord rec{t0, pause_ns, mixed ? PauseKind::kMixed : PauseKind::kYoung, copied};
-  metrics_.RecordPause(rec);
-  Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
-                      static_cast<uint64_t>(rec.kind));
-  if (profiler_ != nullptr) {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kProfilerMerge, nullptr, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.profiler-merge");
-    uint64_t prof_t0 = NowNs();
-    profiler_->OnGcEnd({metrics_.GcCycles(), rec.duration_ns, rec.kind, workers_.get()});
-    metrics_.AddPauseProfilerNs(NowNs() - prof_t0);
-  }
-
-  if (task.failed()) {
-    if (evac_cancel.IsCancelled()) {
-      ROLP_LOG_ERROR("evacuation cancelled by watchdog; falling back to full collection");
-    } else {
-      ROLP_LOG_INFO("evacuation failure; escalating to full collection");
-    }
-    DoFull(NowNs());
-  }
-  ReportOverrunToProfiler();
+  RunEvacuationWorkers(c);
+  FinishEvacuation(c, mixed ? PauseKind::kMixed : PauseKind::kYoung, t0, mark_ns);
 }
 
-void RegionalCollector::StartConcurrentEvacuation(std::vector<Region*> cset,
-                                                  std::vector<Region*> remset_sources,
-                                                  std::vector<Region*> scrub_list,
-                                                  std::vector<std::atomic<Object*>*> roots,
-                                                  bool mixed, bool trust_marks,
-                                                  bool survivor_tracking, uint64_t t0,
-                                                  uint64_t mark_ns, uint64_t evac_t0) {
+void RegionalCollector::RunEvacuationWorkers(EvacuationCycle& c) {
+  // Scan units are claimed from a shared cursor: root-slot chunks (STW only;
+  // a concurrent cycle healed its roots in the arming pause), then one unit
+  // per remset source region, then one per scrub region. Every object needing
+  // a referent scan — to-space copies and live source-region objects alike —
+  // becomes an item on the claiming worker's Chase-Lev deque, stealable by
+  // idle workers. The pool's outstanding counter (units pre-added here,
+  // items counted at Push or at mutator injection) provides termination: a
+  // worker whose queues all look empty spins until the counter drains, since
+  // a straggler may still publish work.
+  const size_t chunk = StealChunkSize();
+  const size_t root_units = (c.roots.size() + chunk - 1) / chunk;
+  const size_t source_end = root_units + c.remset_sources.size();
+  const size_t total_units = source_end + c.scrub_list.size();
+  c.pool.AddOutstanding(static_cast<int64_t>(total_units));
+
+  WatchdogPhaseScope scope(watchdog_.get(),
+                           c.concurrent ? GcPhase::kConcurrentEvac : GcPhase::kEvacuate,
+                           &c.cancel, &metrics_);
+  ROLP_TRACE_SCOPE("gc", c.concurrent ? "gc.phase.concurrent-evac" : "gc.phase.evacuate");
+  workers_->RunTask([&](uint32_t w) {
+    // Stall-only fail points: a delay:<ms> arm sleeps here and returns false.
+    (void)ROLP_FAULT_POINT(c.concurrent ? "gc.concurrent_evac.stall"
+                                        : "gc.phase.evacuate.stall");
+    uint64_t cpu0 = ThreadCpuNs();
+    EvacuationTask::Worker& ew = c.eworkers[w];
+    for (;;) {
+      size_t u = c.unit_cursor.fetch_add(1, std::memory_order_relaxed);
+      if (u >= total_units) {
+        break;
+      }
+      workers_->Heartbeat(w);
+      if (u < root_units) {
+        size_t begin = u * chunk;
+        size_t end = std::min(begin + chunk, c.roots.size());
+        for (size_t i = begin; i < end; i++) {
+          ew.ProcessRootSlot(c.roots[i], nullptr);
+        }
+      } else if (u < source_end) {
+        // Source regions enqueue their live objects as stealable items
+        // rather than scanning inline: one dense region no longer serializes
+        // the phase on whichever worker claimed it. Safe to walk off-pause:
+        // mutators only allocate into regions that were free at the arming
+        // pause, which are never remset sources, and object sizes never
+        // change in place.
+        Region* s = c.remset_sources[u - root_units];
+        s->ForEachObject([&](Object* obj) {
+          if (c.trust_marks && !bitmap_.IsMarked(obj)) {
+            return;  // precise: skip dead objects when marks are fresh
+          }
+          c.pool.Push(w, obj);
+        });
+      } else {
+        // Scrub units: dead objects are unreachable, so the free-block
+        // rewrite races with nothing — a source-scan unit walking the same
+        // region concurrently reads only size_bytes and marked objects.
+        ScrubDeadObjects(c.scrub_list[u - source_end], bitmap_);
+      }
+      c.pool.FinishOne();
+    }
+    // Drain: items from the deques plus objects injected by mutator heals
+    // (pre-counted in the outstanding counter; never any in an STW cycle). No
+    // cancellation bail-out — once cancelled, EvacuateOrForward self-forwards
+    // everything it meets, so the remaining work is bounded slot healing that
+    // must still happen for the heap to stay parsable.
+    uint64_t steps = 0;
+    Object* obj = nullptr;
+    for (;;) {
+      if (c.pool.TryGet(w, &obj) || c.task.TakeInjected(&obj)) {
+        ew.ScanObject(obj);
+        c.pool.FinishOne();
+        if ((++steps & 63) == 0) {
+          workers_->Heartbeat(w);
+        }
+        continue;
+      }
+      if (c.pool.Done()) {
+        break;
+      }
+      workers_->Heartbeat(w);
+      std::this_thread::yield();
+    }
+    ew.Finish();
+    if (c.concurrent) {
+      metrics_.AddEvacCpuNs(ThreadCpuNs() - cpu0);
+    }
+  });
+}
+
+void RegionalCollector::StartConcurrentEvacuation(std::unique_ptr<EvacuationCycle> cycle,
+                                                  uint64_t t0, uint64_t mark_ns) {
   // The previous cycle's driver has long retired (a new pause cannot start
   // while one is active); reap its thread.
   if (concurrent_thread_.joinable()) {
     concurrent_thread_.join();
   }
-  const uint32_t n = workers_->size();
-  cycle_ = std::make_unique<ConcurrentCycle>(heap_, &config_, profiler_, survivor_tracking, n);
-  ConcurrentCycle& c = *cycle_;
-  c.cset = std::move(cset);
-  c.remset_sources = std::move(remset_sources);
-  c.scrub_list = std::move(scrub_list);
-  c.mixed = mixed;
-  c.trust_marks = trust_marks;
+  cycle_ = std::move(cycle);
+  EvacuationCycle& c = *cycle_;
   for (Region* r : c.cset) {
     r->set_evacuating(true);
   }
-  // One claimable unit per remset source region and per scrub region; roots
-  // are healed right here instead. Count the units before any worker can
-  // observe the pool.
-  c.pool.AddOutstanding(
-      static_cast<int64_t>(c.remset_sources.size() + c.scrub_list.size()));
-
   {
     // Eager root healing (to-space invariant): after this loop no root holds
     // a from-space cset pointer, so a mutator can only ever meet one through
@@ -738,26 +629,19 @@ void RegionalCollector::StartConcurrentEvacuation(std::vector<Region*> cset,
     // for the off-pause workers to scan.
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &c.cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
-    for (std::atomic<Object*>* slot : roots) {
+    for (std::atomic<Object*>* slot : c.roots) {
       c.eworkers[0].ProcessRootSlot(slot, nullptr);
     }
+    c.roots.clear();  // healed: the off-pause workers claim no root units
   }
 
   evac_armed_.store(true, std::memory_order_release);
   heap_->RefreshBarrierMode();
   concurrent_active_.store(true, std::memory_order_release);
 
-  metrics_.AddPauseEvacNs(NowNs() - evac_t0);
-  uint64_t t1 = NowNs();
-  uint64_t pause_ns = t1 - t0 - mark_ns;
-  if (ROLP_FAULT_POINT("gc.pause.inflate")) {
-    pause_ns += 10 * 1000 * 1000;  // report +10ms (drives pause-regression heuristics)
-  }
-  PauseRecord rec{t0, pause_ns, c.mixed ? PauseKind::kMixed : PauseKind::kYoung,
-                  /*bytes_copied=*/0};
-  metrics_.RecordPause(rec);
-  Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
-                      static_cast<uint64_t>(rec.kind));
+  metrics_.AddPauseEvacNs(NowNs() - c.evac_t0);
+  RecordEvacuationPause(c.mixed ? PauseKind::kMixed : PauseKind::kYoung, t0, mark_ns,
+                        /*copied=*/0);
 
   concurrent_thread_ = std::thread([this] { ConcurrentDriver(); });
 }
@@ -768,70 +652,10 @@ void RegionalCollector::ConcurrentDriver() {
   MutatorContext dctx;
   dctx.thread_id = 0xFFFFFFFFu;
   safepoints_->RegisterThread(&dctx);
-  ConcurrentCycle& c = *cycle_;
   if (ROLP_FAULT_POINT("gc.concurrent_evac.cancel")) {
-    c.cancel.Cancel();  // chaos: the cycle self-forwards everything it meets
+    cycle_->cancel.Cancel();  // chaos: the cycle self-forwards everything it meets
   }
-  {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kConcurrentEvac, &c.cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.concurrent-evac");
-    workers_->RunTask([&](uint32_t w) {
-      // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
-      (void)ROLP_FAULT_POINT("gc.concurrent_evac.stall");
-      uint64_t cpu0 = ThreadCpuNs();
-      EvacuationTask::Worker& ew = c.eworkers[w];
-      const size_t src_units = c.remset_sources.size();
-      const size_t total_units = src_units + c.scrub_list.size();
-      for (;;) {
-        size_t u = c.unit_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (u >= total_units) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        if (u < src_units) {
-          // Safe to walk off-pause: mutators only allocate into regions that
-          // were free at the arming pause, which are never remset sources, and
-          // object sizes never change in place.
-          Region* s = c.remset_sources[u];
-          s->ForEachObject([&](Object* obj) {
-            if (c.trust_marks && !bitmap_.IsMarked(obj)) {
-              return;  // precise: skip dead objects when marks are fresh
-            }
-            c.pool.Push(w, obj);
-          });
-        } else {
-          // Scrub units: dead objects are unreachable, so the free-block
-          // rewrite races with nothing — a source-scan unit walking the same
-          // region concurrently reads only size_bytes and marked objects.
-          ScrubDeadObjects(c.scrub_list[u - src_units], bitmap_);
-        }
-        c.pool.FinishOne();
-      }
-      // Drain: items from the deques plus objects injected by mutator heals
-      // (pre-counted in the outstanding counter). No cancellation bail-out —
-      // once cancelled, copying degrades to bounded self-forward healing that
-      // must still run for the heap to stay parsable.
-      uint64_t steps = 0;
-      Object* obj = nullptr;
-      for (;;) {
-        if (c.pool.TryGet(w, &obj) || c.task.TakeInjected(&obj)) {
-          ew.ScanObject(obj);
-          c.pool.FinishOne();
-          if ((++steps & 63) == 0) {
-            workers_->Heartbeat(w);
-          }
-          continue;
-        }
-        if (c.pool.Done()) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        std::this_thread::yield();
-      }
-      ew.Finish();
-      metrics_.AddEvacCpuNs(ThreadCpuNs() - cpu0);
-    });
-  }
+  RunEvacuationWorkers(*cycle_);
   // Final remap pause. BeginOperation returning false means another
   // mutator's operation ran first — but the TryCollect/CollectFull guards
   // make any such operation a no-op while the cycle is active, so retrying
@@ -850,12 +674,10 @@ void RegionalCollector::ConcurrentDriver() {
 }
 
 void RegionalCollector::FinishConcurrentCycle() {
-  ConcurrentCycle& c = *cycle_;
-  RegionManager& regions = heap_->regions();
+  EvacuationCycle& c = *cycle_;
   uint64_t t0 = NowNs();
-  uint64_t cpu0 = ThreadCpuNs();
+  c.remap_cpu0 = ThreadCpuNs();
   PreparePause();
-
   {
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.remap");
@@ -870,20 +692,19 @@ void RegionalCollector::FinishConcurrentCycle() {
       w0.ScanObject(obj);
     }
     w0.Drain();
-    std::vector<std::atomic<Object*>*> roots;
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        roots.push_back(&slot);
-      }
-    });
-    for (std::atomic<Object*>* slot : roots) {
-      w0.ProcessRootSlot(slot, nullptr);
-    }
+    ForEachRootSlot(heap_, safepoints_,
+                    [&](std::atomic<Object*>* slot) { w0.ProcessRootSlot(slot, nullptr); });
     w0.Drain();
     w0.Finish();
   }
+  FinishEvacuation(c, PauseKind::kRemap, t0, /*mark_ns=*/0);
+  concurrent_active_.store(false, std::memory_order_release);
+  cycle_.reset();
+}
 
+void RegionalCollector::FinishEvacuation(EvacuationCycle& c, PauseKind kind, uint64_t t0,
+                                         uint64_t mark_ns) {
+  RegionManager& regions = heap_->regions();
   c.task.RestoreSelfForwarded(c.eworkers);
   c.task.FinishShared();
   std::vector<Region*> doomed;
@@ -891,6 +712,9 @@ void RegionalCollector::FinishConcurrentCycle() {
   for (Region* r : c.cset) {
     r->set_evacuating(false);
     if (r->evac_failed()) {
+      // In-place survivors: the region is retired to old; scrubbing turns the
+      // stale originals of copied objects into free blocks and re-records the
+      // survivors' remset edges under the region's new (old) kind.
       r->set_evac_failed(false);
       r->set_in_cset(false);
       regions.RetireToOld(r);
@@ -899,7 +723,14 @@ void RegionalCollector::FinishConcurrentCycle() {
       doomed.push_back(r);
     }
   }
+  if (!c.concurrent) {
+    metrics_.AddPauseEvacNs(NowNs() - c.evac_t0);
+  }
 
+  // Post-evacuation verification: no root and no surviving object may still
+  // reference an unforwarded object in a region about to be freed. Regions
+  // that fail the check are quarantined (kept, pinned as old) instead of
+  // freed — the process keeps serving with bounded garbage retention.
   if (verify_options_.enabled() && !doomed.empty()) {
     uint64_t verify_t0 = NowNs();
     CancellationToken verify_cancel;
@@ -909,7 +740,8 @@ void RegionalCollector::FinishConcurrentCycle() {
     HeapVerifier::Report report = verifier.VerifyCollectionSet(
         doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,
         c.trust_marks ? &bitmap_ : nullptr);
-    if (ApplyVerification("post-concurrent-evacuation", report)) {
+    if (ApplyVerification(c.concurrent ? "post-concurrent-evacuation" : "post-evacuation",
+                          report)) {
       QuarantineFlagged(&verifier, doomed, &report);
     }
     metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
@@ -919,26 +751,7 @@ void RegionalCollector::FinishConcurrentCycle() {
       regions.FreeRegion(r);
     }
   }
-
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("sampled-walk", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
+  VerifyHeapSample("sampled-walk");
 
   uint64_t copied = c.task.mutator_bytes_copied();
   uint64_t promoted = c.task.mutator_bytes_promoted();
@@ -953,18 +766,17 @@ void RegionalCollector::FinishConcurrentCycle() {
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
 
-  // Disarm before the mutators resume; from their perspective the barrier
-  // state only ever changes across a pause.
-  evac_armed_.store(false, std::memory_order_release);
-  heap_->RefreshBarrierMode();
-
-  uint64_t t1 = NowNs();
-  metrics_.AddPauseRemapNs(t1 - t0);
-  metrics_.AddRemapCpuNs(ThreadCpuNs() - cpu0);
-  PauseRecord rec{t0, t1 - t0, PauseKind::kRemap, copied};
-  metrics_.RecordPause(rec);
-  Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
-                      static_cast<uint64_t>(rec.kind));
+  if (c.concurrent) {
+    // Disarm before the mutators resume; from their perspective the barrier
+    // state only ever changes across a pause.
+    evac_armed_.store(false, std::memory_order_release);
+    heap_->RefreshBarrierMode();
+  }
+  PauseRecord rec = RecordEvacuationPause(kind, t0, mark_ns, copied);
+  if (kind == PauseKind::kRemap) {
+    metrics_.AddPauseRemapNs(rec.duration_ns);
+    metrics_.AddRemapCpuNs(ThreadCpuNs() - c.remap_cpu0);
+  }
   if (profiler_ != nullptr) {
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kProfilerMerge, nullptr, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.profiler-merge");
@@ -973,22 +785,59 @@ void RegionalCollector::FinishConcurrentCycle() {
     metrics_.AddPauseProfilerNs(NowNs() - prof_t0);
   }
 
-  bool failed = c.task.failed();
-  bool cancelled = c.cancel.IsCancelled();
-  concurrent_active_.store(false, std::memory_order_release);
-  cycle_.reset();
-
-  if (failed) {
-    if (cancelled) {
+  if (c.task.failed()) {
+    if (!c.cancel.IsCancelled()) {
+      ROLP_LOG_INFO("evacuation failure; escalating to full collection");
+    } else if (c.concurrent) {
       ROLP_LOG_ERROR(
           "concurrent evacuation cancelled; finished self-forwarded, "
           "falling back to full collection");
     } else {
-      ROLP_LOG_INFO("concurrent evacuation failure; escalating to full collection");
+      ROLP_LOG_ERROR("evacuation cancelled by watchdog; falling back to full collection");
     }
     DoFull(NowNs());
   }
   ReportOverrunToProfiler();
+}
+
+PauseRecord RegionalCollector::RecordEvacuationPause(PauseKind kind, uint64_t t0,
+                                                     uint64_t mark_ns, uint64_t copied) {
+  uint64_t pause_ns = NowNs() - t0 - mark_ns;
+  if (kind != PauseKind::kRemap && ROLP_FAULT_POINT("gc.pause.inflate")) {
+    pause_ns += 10 * 1000 * 1000;  // report +10ms (drives pause-regression heuristics)
+  }
+  PauseRecord rec{t0, pause_ns, kind, copied};
+  RecordPause(rec);
+  return rec;
+}
+
+void RegionalCollector::VerifyHeapSample(const char* when) {
+  // Sampled structural walk (rotating 1-in-N coverage): region tiling,
+  // reference plausibility, stale forwarding, remset completeness, and the
+  // OLD-table cross-check. Runs with repair on — dangling references are
+  // nulled and missing remset entries re-added rather than only reported.
+  if (!verify_options_.enabled()) {
+    return;
+  }
+  uint64_t verify_t0 = NowNs();
+  RegionManager& regions = heap_->regions();
+  CancellationToken verify_cancel;
+  WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+  ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
+  HeapVerifier verifier(heap_, safepoints_);
+  HeapVerifier::Report report = verifier.VerifySampledWalk(
+      workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
+  if (ApplyVerification(when, report)) {
+    for (const HeapVerifier::Finding& f : report.findings) {
+      if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
+          f.region != HeapVerifier::Finding::kNoRegion) {
+        // Broken tiling: the region can never be walked again.
+        regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
+        verify_stats_.regions_quarantined++;
+      }
+    }
+  }
+  metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
 }
 
 void RegionalCollector::DoFull(uint64_t t0) {
@@ -1008,34 +857,13 @@ void RegionalCollector::DoFull(uint64_t t0) {
   // region and rebuilt every remembered set, so check the result before
   // resuming the mutators. Walkable quarantined regions were rehabilitated by
   // the compactor; anything still broken gets re-quarantined here.
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    RegionManager& regions = heap_->regions();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("post-compaction", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
+  VerifyHeapSample("post-compaction");
   metrics_.AddBytesCopied(moved);
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
   PauseRecord rec{t0, t1 - t0, PauseKind::kFull, moved};
-  metrics_.RecordPause(rec);
-  Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
-                      static_cast<uint64_t>(rec.kind));
+  RecordPause(rec);
   if (profiler_ != nullptr) {
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kProfilerMerge, nullptr, &metrics_);
     profiler_->OnGcEnd({metrics_.GcCycles(), rec.duration_ns, rec.kind, workers_.get()});

@@ -86,7 +86,7 @@ class RegionalCollector : public Collector {
   }
 
  private:
-  struct ConcurrentCycle;
+  struct EvacuationCycle;
   // Stops the world and collects. Returns false if another thread's collection
   // ran instead (caller should retry its allocation).
   bool TryCollect(MutatorContext* ctx, bool force_full);
@@ -96,23 +96,36 @@ class RegionalCollector : public Collector {
   void DoFull(uint64_t t0);
   void PreparePause();
 
-  // Concurrent-evacuation cycle stages. Start runs at the tail of the arming
-  // pause: flags the cset evacuating, heals all roots (to-space invariant:
-  // after this no root can hand a mutator a from-space cset pointer), arms
-  // the barrier, records the initial pause, and spawns the driver thread.
-  void StartConcurrentEvacuation(std::vector<Region*> cset,
-                                 std::vector<Region*> remset_sources,
-                                 std::vector<Region*> scrub_list,
-                                 std::vector<std::atomic<Object*>*> roots, bool mixed,
-                                 bool trust_marks, bool survivor_tracking, uint64_t t0,
-                                 uint64_t mark_ns, uint64_t evac_t0);
+  // One evacuation pipeline (DESIGN.md sections 10.1 and 14). An STW pause
+  // runs its cycle with RunEvacuationWorkers and FinishEvacuation inside the
+  // pause. A concurrent cycle runs the same two steps with the world resumed
+  // in between: StartConcurrentEvacuation (tail of the arming pause) flags
+  // the cset evacuating, heals all roots (to-space invariant: after this no
+  // root can hand a mutator a from-space cset pointer), arms the barrier,
+  // records the initial pause, and spawns the driver thread.
+  void StartConcurrentEvacuation(std::unique_ptr<EvacuationCycle> cycle, uint64_t t0,
+                                 uint64_t mark_ns);
+  // Claims the cycle's units (root chunks, remset sources, scrub regions) and
+  // drains the work-stealing pool on every GC worker.
+  void RunEvacuationWorkers(EvacuationCycle& c);
   // Driver thread body: runs the copy workers off-pause under the watchdog's
   // kConcurrentEvac deadline, then stops the world for the final remap pause.
   void ConcurrentDriver();
   // Final remap pause (world stopped, driver thread): drains leftover
-  // injected work, re-heals roots, retires/frees the cset, verifies, disarms
-  // the barrier, and publishes cycle metrics.
+  // injected work and re-heals roots, then finishes and retires the cycle.
   void FinishConcurrentCycle();
+  // World stopped, all copying done: restores self-forwarded objects,
+  // retires evacuation-failed regions, verifies and frees the cset, publishes
+  // cycle metrics, records the `kind` pause (t0 to now, minus mark_ns) and
+  // escalates to a full collection if evacuation failed.
+  void FinishEvacuation(EvacuationCycle& c, PauseKind kind, uint64_t t0, uint64_t mark_ns);
+  // Records the pause [t0, now) minus STW marking; young and mixed pauses
+  // are the ones the gc.pause.inflate fault point inflates.
+  PauseRecord RecordEvacuationPause(PauseKind kind, uint64_t t0, uint64_t mark_ns,
+                                    uint64_t copied);
+  // Sampled structural walk with repair; quarantines regions whose tiling
+  // broke. `when` labels the findings.
+  void VerifyHeapSample(const char* when);
 
   AllocResult AllocatePretenured(MutatorContext* ctx, const AllocRequest& req);
   AllocResult AllocateHumongousObject(MutatorContext* ctx, const AllocRequest& req);
@@ -136,7 +149,7 @@ class RegionalCollector : public Collector {
   // --- Concurrent evacuation state ---
   std::atomic<bool> evac_armed_{false};
   std::atomic<bool> concurrent_active_{false};
-  std::unique_ptr<ConcurrentCycle> cycle_;  // valid while concurrent_active_
+  std::unique_ptr<EvacuationCycle> cycle_;  // valid while concurrent_active_
   std::thread concurrent_thread_;           // joined lazily + in the dtor
   std::mutex cycle_mu_;
   std::condition_variable cycle_cv_;

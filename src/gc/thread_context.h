@@ -15,6 +15,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/heap/heap.h"
 #include "src/heap/object.h"
 #include "src/heap/tlab.h"
 
@@ -92,6 +93,22 @@ class SafepointManager {
   size_t parked_ = 0;
   std::atomic<uint64_t> operations_{0};
 };
+
+// Visits every root slot: the heap's global roots first, then each
+// registered thread's local roots (world stopped). A null `safepoints`
+// visits the global roots only.
+template <typename Fn>
+void ForEachRootSlot(Heap* heap, SafepointManager* safepoints, Fn&& fn) {
+  heap->roots().ForEach(fn);
+  if (safepoints == nullptr) {
+    return;
+  }
+  safepoints->ForEachThread([&](MutatorContext* t) {
+    for (auto& slot : t->local_roots) {
+      fn(&slot);
+    }
+  });
+}
 
 }  // namespace rolp
 

@@ -180,26 +180,16 @@ bool ZgcCollector::StartCycle(MutatorContext* ctx) {
   });
   {
     std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
+    ForEachRootSlot(heap_, safepoints_, [&](std::atomic<Object*>* slot) {
       Object* v = slot->load(std::memory_order_relaxed);
       if (v != nullptr) {
         gray_queue_.push_back(v);
       }
     });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
-      }
-    });
   }
   phase_.store(Phase::kMarking, std::memory_order_release);
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kZMark, 0});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kZMark));
+  RecordPause({t0, t1 - t0, PauseKind::kZMark, 0});
   metrics_.IncrementGcCycles();
   safepoints_->EndOperation(ctx);
   return true;
@@ -299,18 +289,10 @@ bool ZgcCollector::RemarkAndSelect(MutatorContext* ctx) {
   // Remark: rescan roots, drain to completion.
   {
     std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
+    ForEachRootSlot(heap_, safepoints_, [&](std::atomic<Object*>* slot) {
       Object* v = slot->load(std::memory_order_relaxed);
       if (v != nullptr) {
         gray_queue_.push_back(v);
-      }
-    });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
       }
     });
   }
@@ -423,19 +405,12 @@ bool ZgcCollector::RemarkAndSelect(MutatorContext* ctx) {
         slot->store(Relocate(v), std::memory_order_relaxed);
       }
     };
-    heap_->roots().ForEach(heal_root);
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        heal_root(&slot);
-      }
-    });
+    ForEachRootSlot(heap_, safepoints_, heal_root);
   }
 
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kZRemark, 0});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kZRemark));
+  RecordPause({t0, t1 - t0, PauseKind::kZRemark, 0});
   metrics_.IncrementGcCycles();
   safepoints_->EndOperation(ctx);
   return true;
@@ -548,12 +523,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
       slot->store(Relocate(v), std::memory_order_relaxed);
     }
   };
-  heap_->roots().ForEach(heal_root);
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      heal_root(&slot);
-    }
-  });
+  ForEachRootSlot(heap_, safepoints_, heal_root);
 
   std::vector<Region*> doomed;
   for (Region* r : relocation_set_) {
@@ -603,9 +573,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
   cycles_completed_.fetch_add(1, std::memory_order_relaxed);
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kZRelocateStart, 0});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kZRelocateStart));
+  RecordPause({t0, t1 - t0, PauseKind::kZRelocateStart, 0});
   metrics_.IncrementGcCycles();
   safepoints_->EndOperation(ctx);
 }
@@ -644,9 +612,7 @@ void ZgcCollector::DoFull(MutatorContext* ctx) {
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
-  metrics_.RecordPause({t0, t1 - t0, PauseKind::kFull, moved});
-  Trace::EmitComplete("gc", "gc.pause", t0, t1 - t0,
-                      static_cast<uint64_t>(PauseKind::kFull));
+  RecordPause({t0, t1 - t0, PauseKind::kFull, moved});
   safepoints_->EndOperation(ctx);
 }
 

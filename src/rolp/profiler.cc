@@ -520,8 +520,18 @@ void Profiler::OnGenFragmentation(uint8_t gen, double live_ratio) {
   if (!changed) {
     return;
   }
+  const bool emptied = next->empty();
   PublishDecisions(std::move(next));
   decisions_changed_since_last_inference_ = true;
+  if (emptied && config_.auto_survivor_tracking &&
+      !survivor_tracking_.load(std::memory_order_relaxed)) {
+    // The last decision was demoted away while tracking was off. Only
+    // survivor curves can raise an estimate again, so without tracking the
+    // profiler would stay blind until a pause regression: relearn now.
+    survivor_tracking_.store(true, std::memory_order_relaxed);
+    tracking_toggles_++;
+    ROLP_LOG_INFO("survivor tracking re-enabled (no decisions left)");
+  }
 }
 
 void Profiler::OnGcOverrun(bool survivor_tracking_active) {

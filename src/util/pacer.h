@@ -12,7 +12,7 @@
 // coordinated-omission-adjacent bug in the very harness built to avoid
 // coordinated omission.
 //
-// The fix (kAbsoluteHybrid): sleep_until(deadline - spin_slack), then spin
+// The fix: sleep_until(deadline - spin_slack), then spin
 // on the monotonic clock for the remainder. The absolute sleep target means
 // oversleep never compounds across events, and the bounded spin (at most
 // spin_slack plus the kernel's actual oversleep) absorbs the timer slack
@@ -20,10 +20,8 @@
 // schedule. Callers that only need a coarse wake (e.g. the generator's
 // periodic retry-queue re-check) pass precise=false and skip the spin.
 //
-// kRelativeSleep preserves the legacy behaviour verbatim so the regression
-// test can demonstrate the drift on demand (tests/service/pacer_test.cc) —
-// the pre-fix failure stays encoded in the suite instead of vanishing with
-// the fix. ROLP_PACING=relative re-enables it end to end for A/B runs.
+// tests/service/pacer_test.cc keeps the legacy relative-sleep loop as a
+// test-local helper, so the pre-fix drift stays demonstrable in the suite.
 #ifndef SRC_UTIL_PACER_H_
 #define SRC_UTIL_PACER_H_
 
@@ -31,18 +29,12 @@
 
 namespace rolp {
 
-enum class PacingMode : uint8_t {
-  kAbsoluteHybrid = 0,  // sleep_until(deadline - slack) + bounded spin
-  kRelativeSleep = 1,   // legacy: sleep_for(deadline - now); drifts by timer slack
-};
-
 struct PacerOptions {
-  PacingMode mode = PacingMode::kAbsoluteHybrid;
   // How early the absolute sleep aims, i.e. the spin budget. Matches the
   // default Linux timer slack: sleeping closer than this to the deadline is
   // what the kernel cannot do accurately.
   uint64_t spin_slack_ns = 50 * 1000;
-  // Reads ROLP_PACING=absolute|relative and ROLP_PACER_SPIN_US.
+  // Reads ROLP_PACER_SPIN_US.
   static PacerOptions FromEnv();
 };
 

@@ -32,8 +32,13 @@ void SetRowKey(Object* row, uint64_t key) {
 }
 }  // namespace
 
+// The read/write coin draws from its own stream: seeded like the key
+// generator, op i's key and coin would come from the same uniform number, and
+// reads would only ever get keys writes never produce.
 KvStoreWorkload::KvStoreWorkload(const KvStoreOptions& options)
-    : options_(options), keys_(options.num_keys, 0.99, options.seed), rng_(options.seed) {}
+    : options_(options),
+      keys_(options.num_keys, 0.99, options.seed),
+      rng_(Mix64(options.seed)) {}
 
 KvStoreWorkload::~KvStoreWorkload() = default;
 

@@ -207,6 +207,38 @@ TEST(ProfilerTest, FragmentationDemotionToYoungRemovesDecision) {
   EXPECT_EQ(p.TargetGen(ctx), 0u);
 }
 
+TEST(ProfilerTest, DemotingTheLastDecisionReenablesSurvivorTracking) {
+  Profiler p(SmallConfig());
+  uint32_t ctx = markword::MakeContext(42, 0);
+  for (int i = 0; i < 1000; i++) {
+    p.RecordAllocation(ctx);
+  }
+  for (uint32_t age = 0; age < 2; age++) {
+    for (int i = 0; i < 1000; i++) {
+      p.OnSurvivor(0, MarkFor(ctx, age));
+    }
+    p.OnGcEnd({age + 1, 1000, PauseKind::kYoung});
+  }
+  p.RunInferenceNow();
+  ASSERT_EQ(p.TargetGen(ctx), 2u);
+  // Quiet inferences: the decision holds, so tracking shuts off as stable.
+  for (uint64_t c = 3; c <= 40 && p.SurvivorTrackingEnabled(); c++) {
+    p.OnGcEnd({c, 1000, PauseKind::kYoung});
+  }
+  ASSERT_FALSE(p.SurvivorTrackingEnabled());
+  // A demotion that leaves a decision standing keeps tracking off.
+  p.OnGenFragmentation(2, 0.1);
+  EXPECT_EQ(p.TargetGen(ctx), 1u);
+  EXPECT_FALSE(p.SurvivorTrackingEnabled());
+  // Demoting the last decision away would leave the profiler blind (only
+  // survivor curves raise an estimate), so tracking comes back on.
+  uint64_t toggles = p.survivor_tracking_toggles();
+  p.OnGenFragmentation(1, 0.1);
+  EXPECT_EQ(p.TargetGen(ctx), 0u);
+  EXPECT_TRUE(p.SurvivorTrackingEnabled());
+  EXPECT_EQ(p.survivor_tracking_toggles(), toggles + 1);
+}
+
 TEST(ProfilerTest, FirstDecisionCycleRecordsWarmup) {
   RolpConfig cfg = SmallConfig();
   cfg.inference_period = 2;

@@ -1,15 +1,17 @@
 // Open-loop pacing drift regression (DESIGN.md §16).
 //
-// The fixed pacer (kAbsoluteHybrid) must hold the offered rate within 1% at
-// 100k events/s and keep per-event issuance lateness far below the kernel
-// timer slack. The legacy relative-sleep pacer is kept runnable on purpose:
-// the *same harness* demonstrates the drift it had — median lateness on the
-// order of the timer slack (~50 µs), i.e. 5x the inter-arrival gap — so the
-// pre-fix failure mode stays encoded in the suite.
+// The fixed pacer must hold the offered rate within 1% at 100k events/s and
+// keep per-event issuance lateness far below the kernel timer slack. The
+// legacy relative-sleep wait is kept runnable on purpose, as a test-local
+// helper: the *same harness* demonstrates the drift it had — median lateness
+// on the order of the timer slack (~50 µs), i.e. 5x the inter-arrival gap —
+// so the pre-fix failure mode stays encoded in the suite.
 #include "src/util/pacer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -24,20 +26,35 @@ struct PacingRun {
   uint64_t lateness_p99_ns = 0;
 };
 
+enum class Waiter {
+  kPacer,          // the fixed Pacer: sleep_until(deadline - slack) + bounded spin
+  kRelativeSleep,  // legacy: sleep_for(deadline - now); drifts by timer slack
+};
+
+// The pre-fix wait, bug and all: the relative sleep pays the kernel timer
+// slack on top of the remaining time, every time.
+uint64_t RelativeSleepUntil(uint64_t deadline_ns) {
+  uint64_t now = NowNs();
+  if (now >= deadline_ns) {
+    return now;
+  }
+  std::this_thread::sleep_for(std::chrono::nanoseconds(deadline_ns - now));
+  return NowNs();
+}
+
 // Replays the open-loop generator loop shape: a fixed schedule of `events`
-// deadlines `gap_ns` apart, waiting for each with the pacer under test, and
+// deadlines `gap_ns` apart, waiting for each with the waiter under test, and
 // charges lateness as (wake - deadline) per event.
-PacingRun DriveSchedule(PacingMode mode, uint64_t events, uint64_t gap_ns) {
-  PacerOptions opt;
-  opt.mode = mode;
-  Pacer pacer(opt);
+PacingRun DriveSchedule(Waiter waiter, uint64_t events, uint64_t gap_ns) {
+  Pacer pacer;
   std::vector<uint64_t> lateness;
   lateness.reserve(events);
   const uint64_t start = NowNs() + 1000 * 1000;  // 1 ms lead-in
   uint64_t last_wake = 0;
   for (uint64_t i = 0; i < events; i++) {
     uint64_t deadline = start + i * gap_ns;
-    uint64_t now = pacer.WaitUntil(deadline);
+    uint64_t now = waiter == Waiter::kPacer ? pacer.WaitUntil(deadline)
+                                            : RelativeSleepUntil(deadline);
     lateness.push_back(now > deadline ? now - deadline : 0);
     last_wake = now;
   }
@@ -56,14 +73,14 @@ constexpr uint64_t kEvents = 30000;
 constexpr uint64_t kGapNs = 10000;  // 100k events/s: gap < Linux timer slack
 
 TEST(PacerTest, AbsoluteModeHoldsRateWithinOnePercentAt100kEps) {
-  PacingRun run = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
+  PacingRun run = DriveSchedule(Waiter::kPacer, kEvents, kGapNs);
   const double target_eps = 1e9 / static_cast<double>(kGapNs);
   EXPECT_NEAR(run.achieved_eps, target_eps, target_eps * 0.01)
       << "offered rate drifted more than 1% from the schedule";
 }
 
 TEST(PacerTest, AbsoluteModeLatenessIsNotTimerSlackDominated) {
-  PacingRun run = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
+  PacingRun run = DriveSchedule(Waiter::kPacer, kEvents, kGapNs);
   // The hybrid finish spins through the slack window: typical lateness is a
   // clock read (~tens of ns). 20 µs leaves room for scheduler noise while
   // still sitting well under the 50 µs timer slack that defined the bug.
@@ -72,17 +89,17 @@ TEST(PacerTest, AbsoluteModeLatenessIsNotTimerSlackDominated) {
 }
 
 TEST(PacerTest, RelativeModeDemonstratesTimerSlackDrift) {
-  // The legacy pacer re-anchors each wait at sleep_for() call time, so every
+  // The legacy wait re-anchors each wait at sleep_for() call time, so every
   // sleep overshoots by the kernel timer slack and the generator falls into
   // oversleep-then-burst cycles. This is the failing pre-fix behaviour,
   // demonstrated on demand: its median lateness is at least the inter-arrival
   // gap (the schedule can never be hit), and in practice slack-sized.
-  PacingRun run = DriveSchedule(PacingMode::kRelativeSleep, kEvents, kGapNs);
+  PacingRun run = DriveSchedule(Waiter::kRelativeSleep, kEvents, kGapNs);
   EXPECT_GE(run.lateness_p50_ns, kGapNs)
       << "relative sleep unexpectedly held the schedule — did the legacy "
          "path get fixed? Then it no longer demonstrates the bug.";
 
-  PacingRun fixed = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
+  PacingRun fixed = DriveSchedule(Waiter::kPacer, kEvents, kGapNs);
   EXPECT_GT(run.lateness_p50_ns, fixed.lateness_p50_ns * 4)
       << "drift demonstration margin collapsed";
 }

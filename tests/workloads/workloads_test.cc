@@ -60,6 +60,18 @@ TEST(KvStoreWorkloadTest, ReadsFindWrites) {
   EXPECT_GT(w.reads_hit(), 10u);
 }
 
+TEST(KvStoreWorkloadTest, DefaultWriteIntensiveReadsHitWrittenKeys) {
+  // cassandra-wi at its default keyspace. The key and the read/write coin
+  // must come from independent streams, or reads only draw keys that writes
+  // never produce and reads_hit stays 0.
+  KvStoreOptions kv;
+  KvStoreWorkload w(kv);
+  DriverOptions opt = ShortRun(30.0);
+  opt.max_ops = 4000;
+  RunWorkload(TestVm(GcKind::kG1), w, opt);
+  EXPECT_GT(w.reads_hit(), 0u);
+}
+
 TEST(KvStoreWorkloadTest, ConcurrentFlushDoesNotDeadlockWithGc) {
   // Regression: Flush() allocates while holding the maintenance lock. A
   // second thread blocked on that lock used to spin without polling, so when
