@@ -8,12 +8,16 @@
 // copy work across the pool. Timed with manual time around the collection
 // call only (the mutator-side refill between pauses is untimed).
 //
+// BM_PauseYoungRefFreeSources reproduces the text-open young pause: one
+// remembered-set source region of byte[]s with a single ref array into young.
+//
 // BM_ProfilerGcEndInference measures the profiler cost paid *inside* the
 // pause at an inference boundary (worker-table merge + lifetime inference +
 // decision publication), the piece the async-inference path shrinks to a
 // table snapshot.
 #include <benchmark/benchmark.h>
 
+#include <ctime>
 #include <memory>
 #include <vector>
 
@@ -246,6 +250,120 @@ BENCHMARK(BM_PauseConcurrentEvac)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(16);
+
+// The text-open young-pause shape: one old remembered-set source region that
+// is almost all byte[] (kRefFreeDataArrays of them) with a single ref array in
+// the middle whose slots hold the only references to the young survivors,
+// themselves byte[]s. Everything the pause has to do is one region walk plus
+// kYoungReferents copies; how many deque items, wake-ups and class lookups it
+// spends on reference-free objects is overhead. arg = GC workers. evac_ms is
+// gc.pause.evac per pause; cpu_us is process CPU time per collection (every
+// thread: the pause thread and the GC workers).
+constexpr size_t kRefFreeDataArrays = 4900;
+constexpr uint64_t kRefFreeArrayBytes = 176;  // 200 B objects: ~980 KB region
+constexpr uint64_t kYoungReferents = 700;
+constexpr uint64_t kYoungReferentBytes = 576;  // ~420 KB copied per pause
+
+class RefFreeSourceEnv {
+ public:
+  explicit RefFreeSourceEnv(uint32_t workers) {
+    HeapConfig hc;
+    hc.heap_bytes = kHeapMb * 1024 * 1024;
+    hc.region_bytes = kRegionBytes;
+    hc.young_fraction = 0.25;
+    heap_ = std::make_unique<Heap>(hc);
+    GcConfig gc;
+    gc.num_workers = workers;
+    gc.use_dynamic_gens = true;  // pretenured allocation lays out the region
+    gc.tenuring_threshold = 16;  // survivors never tenure: steady copy load
+    collector_ = std::make_unique<RegionalCollector>(heap_.get(), gc, &safepoints_);
+    safepoints_.RegisterThread(&ctx_);
+    for (size_t i = 0; i < kRefFreeDataArrays; i++) {
+      AllocOld(heap_->classes().data_array_class(), heap_->DataArrayAllocSize(kRefFreeArrayBytes),
+               kRefFreeArrayBytes);
+      if (i == kRefFreeDataArrays / 2) {
+        ctx_.local_roots.emplace_back(AllocOld(heap_->classes().ref_array_class(),
+                                               heap_->RefArrayAllocSize(kYoungReferents),
+                                               kYoungReferents));
+      }
+    }
+    RefillYoungReferents();
+    collector_->CollectNow(&ctx_);  // warm-up: survivor regions exist
+    RefillYoungReferents();
+  }
+
+  ~RefFreeSourceEnv() {
+    collector_->OnMutatorExit(&ctx_);
+    safepoints_.UnregisterThread(&ctx_);
+  }
+
+  void RefillYoungReferents() {
+    Object* holder = ctx_.local_roots[0].load(std::memory_order_relaxed);
+    for (uint64_t i = 0; i < kYoungReferents; i++) {
+      AllocRequest req;
+      req.cls = heap_->classes().data_array_class();
+      req.total_bytes = heap_->DataArrayAllocSize(kYoungReferentBytes);
+      req.array_length = kYoungReferentBytes;
+      char* mem = ctx_.tlab.Allocate(req.total_bytes);
+      Object* obj = mem != nullptr ? heap_->InitializeObject(mem, req.cls, req.total_bytes,
+                                                             req.array_length, 0)
+                                   : collector_->AllocateSlow(&ctx_, req).object;
+      ROLP_CHECK(obj != nullptr);
+      heap_->StoreRef(holder, holder->RefArraySlot(i), obj);
+    }
+  }
+
+  RegionalCollector& collector() { return *collector_; }
+  MutatorContext* ctx() { return &ctx_; }
+
+ private:
+  Object* AllocOld(ClassId cls, size_t bytes, uint64_t length) {
+    AllocRequest req;
+    req.cls = cls;
+    req.total_bytes = bytes;
+    req.array_length = length;
+    req.target_gen = kOldGenId;
+    Object* obj = collector_->AllocateSlow(&ctx_, req).object;
+    ROLP_CHECK(obj != nullptr);
+    return obj;
+  }
+
+  std::unique_ptr<Heap> heap_;
+  SafepointManager safepoints_;
+  MutatorContext ctx_;
+  std::unique_ptr<RegionalCollector> collector_;
+};
+
+uint64_t ProcessCpuNs() {
+  struct timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
+}
+
+void BM_PauseYoungRefFreeSources(benchmark::State& state) {
+  RefFreeSourceEnv env(static_cast<uint32_t>(state.range(0)));
+  const uint64_t evac0 = env.collector().metrics().PauseEvacNs();
+  uint64_t cpu_ns = 0;
+  for (auto _ : state) {
+    uint64_t c0 = ProcessCpuNs();
+    uint64_t t0 = NowNs();
+    env.collector().CollectNow(env.ctx());
+    uint64_t t1 = NowNs();
+    cpu_ns += ProcessCpuNs() - c0;
+    state.SetIterationTime(static_cast<double>(t1 - t0) * 1e-9);
+    env.RefillYoungReferents();
+  }
+  double iters = static_cast<double>(state.iterations());
+  state.counters["evac_ms"] =
+      static_cast<double>(env.collector().metrics().PauseEvacNs() - evac0) * 1e-6 / iters;
+  state.counters["cpu_us"] = static_cast<double>(cpu_ns) * 1e-3 / iters;
+}
+BENCHMARK(BM_PauseYoungRefFreeSources)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(200);
 
 // In-pause profiler cost at an inference boundary. arg: 0 = synchronous
 // inference inside OnGcEnd (the historical pipeline), 1 = async inference

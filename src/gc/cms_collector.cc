@@ -299,7 +299,7 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     // any surviving reference into the collection set is a genuine miss.
     uint64_t v0 = NowNs();
     CancellationToken verify_cancel;
-    WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+    WatchdogPhaseScope vscope = PhaseScope(GcPhase::kVerify, &verify_cancel);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
     HeapVerifier verifier(heap_, safepoints_);
     HeapVerifier::Report report = verifier.VerifyCollectionSet(
@@ -539,7 +539,7 @@ void CmsCollector::DoFull(uint64_t t0) {
   {
     // Non-cancellable STW fallback; the watchdog times it and aborts on
     // repeated overruns (escalation ladder rung 5).
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kCompact, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kCompact, nullptr);
     (void)ROLP_FAULT_POINT("gc.phase.compact.stall");
     moved = compactor.Collect(safepoints_, workers_.get());
   }

@@ -154,6 +154,12 @@ class Collector {
   // the region as a remset source.
   void RecordCrossRegionEdges(Region* region);
 
+  // Brackets one phase: watchdog deadline plus per-phase CPU (this thread's
+  // and the GC workers') charged to metrics_.
+  WatchdogPhaseScope PhaseScope(GcPhase phase, CancellationToken* token) {
+    return WatchdogPhaseScope(watchdog_.get(), phase, token, &metrics_, workers_.get());
+  }
+
   // Monotonic pass counter driving the rotating sampling offset.
   uint64_t NextVerifyPass() { return verify_pass_++; }
 

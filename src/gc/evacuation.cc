@@ -9,6 +9,14 @@
 
 namespace rolp {
 
+namespace {
+
+// Source-region continuations share the deques with object items; the low
+// bit (objects are 8-byte aligned) tells them apart.
+constexpr uintptr_t kContinuationTag = 1;
+
+}  // namespace
+
 EvacuationTask::EvacuationTask(Heap* heap, const GcConfig* config, ProfilerHooks* profiler,
                                bool survivor_tracking, CancellationToken* cancel)
     : heap_(heap),
@@ -104,10 +112,53 @@ Object* EvacuationTask::Worker::EvacuateOrForward(Object* obj) {
 }
 
 void EvacuationTask::Worker::Emit(Object* obj) {
+  if (!task_->heap_->IsRefFree(obj)) {
+    Publish(obj);
+  }
+}
+
+void EvacuationTask::Worker::Publish(Object* item) {
   if (task_->pool_ != nullptr) {
-    task_->pool_->Push(worker_id_, obj);
+    task_->pool_->Push(worker_id_, item);
   } else {
-    scan_stack_.push_back(obj);
+    scan_stack_.push_back(item);
+  }
+}
+
+void EvacuationTask::Worker::ScanSource(char* from) {
+  Heap* heap = task_->heap_;
+  char* top = heap->regions().RegionFor(from)->top();
+  char* end = top;
+  if (task_->pool_ != nullptr && task_->pool_->size() > 1) {
+    // Header-only pre-walk to the slice boundary; the remainder goes out
+    // before the slice's own copies, so thieves see it first.
+    end = from;
+    while (end < top && static_cast<size_t>(end - from) < kSourceSliceBytes) {
+      end += reinterpret_cast<Object*>(end)->size_bytes;
+    }
+    if (end < top) {
+      Publish(reinterpret_cast<Object*>(reinterpret_cast<uintptr_t>(end) | kContinuationTag));
+    }
+  }
+  const MarkBitmap* marks = task_->source_marks_;
+  for (char* p = from; p < end;) {
+    Object* obj = reinterpret_cast<Object*>(p);
+    p += obj->size_bytes;
+    // Liveness first: with trusted marks a dead object may be under a
+    // concurrent scrub, so only its size is read.
+    if ((marks != nullptr && !marks->IsMarked(obj)) || heap->IsRefFree(obj)) {
+      continue;
+    }
+    ScanObject(obj);
+  }
+}
+
+void EvacuationTask::Worker::ProcessItem(Object* item) {
+  uintptr_t bits = reinterpret_cast<uintptr_t>(item);
+  if ((bits & kContinuationTag) != 0) {
+    ScanSource(reinterpret_cast<char*>(bits & ~kContinuationTag));
+  } else {
+    ScanObject(item);
   }
 }
 
@@ -169,9 +220,9 @@ void EvacuationTask::Worker::ProcessRootSlot(std::atomic<Object*>* slot, Region*
 
 void EvacuationTask::Worker::Drain() {
   while (!scan_stack_.empty()) {
-    Object* obj = scan_stack_.back();
+    Object* item = scan_stack_.back();
     scan_stack_.pop_back();
-    ScanObject(obj);
+    ProcessItem(item);
   }
 }
 
@@ -299,6 +350,9 @@ char* EvacuationTask::AllocShared(int space, size_t bytes) {
 }
 
 void EvacuationTask::Inject(Object* obj) {
+  if (heap_->IsRefFree(obj)) {
+    return;
+  }
   // Count before publishing: a worker that pops the item calls FinishOne(),
   // and the pool's outstanding counter must never dip below the number of
   // published-but-unfinished items or the termination check fires early.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/gc/gc_config.h"
+#include "src/gc/mark_bitmap.h"
 #include "src/gc/profiler_hooks.h"
 #include "src/gc/stealable_queue.h"
 #include "src/gc/watchdog/cancellation.h"
@@ -30,6 +31,10 @@ namespace rolp {
 
 class EvacuationTask {
  public:
+  // Remembered-set source regions are scanned in slices of this many bytes
+  // (rounded up to whole objects); see Worker::ScanSource.
+  static constexpr size_t kSourceSliceBytes = 32 * 1024;
+
   // `cancel` (optional, watchdog): once set, workers stop copying and
   // self-forward every remaining cset object in place — the same bounded
   // failure path as to-space exhaustion, so the pause still finishes with a
@@ -47,11 +52,21 @@ class EvacuationTask {
     // roots); used to maintain remembered sets on updated references.
     void ProcessRootSlot(std::atomic<Object*>* slot, Region* src_region);
 
-    // Scans one work item: heals obj's ref slots (evacuating cset targets
-    // transitively) and maintains remembered sets against obj's own region.
-    // Works uniformly for to-space copies and for live objects in remset
-    // source regions, so both kinds share the work-stealing item type.
+    // Heals obj's ref slots (evacuating cset targets transitively) and
+    // maintains remembered sets against obj's own region. Works uniformly for
+    // to-space copies and for live objects in remset source regions.
     void ScanObject(Object* obj);
+
+    // Scans a remembered-set source region in place, from the object at
+    // `from` to the region's top: every live object with reference slots
+    // goes through ScanObject (liveness from set_source_marks). When other
+    // workers could steal it, the part past the first kSourceSliceBytes is
+    // published first as one continuation item, so a dense region is shared
+    // by whichever workers are idle while this one scans its slice.
+    void ScanSource(char* from);
+
+    // Runs one queued item: a source-region continuation or an object scan.
+    void ProcessItem(Object* item);
 
     // Drains this worker's private scan stack, evacuating transitively.
     // Only meaningful when the task has no work-stealing pool attached
@@ -75,7 +90,10 @@ class EvacuationTask {
     char* AllocInDest(int space, size_t bytes);
     // Publishes an object whose referents still need scanning: onto this
     // worker's deque when a pool is attached, else the private scan stack.
+    // Reference-free objects have nothing to scan and are dropped here.
     void Emit(Object* obj);
+    // Queues an item (object or tagged continuation) without the filter.
+    void Publish(Object* item);
 
     EvacuationTask* task_;
     uint32_t worker_id_;
@@ -89,6 +107,11 @@ class EvacuationTask {
   };
 
   Worker MakeWorker(uint32_t worker_id) { return Worker(this, worker_id); }
+
+  // Liveness filter for source-region scans: with fresh, trusted marks only
+  // marked objects are scanned; null (the default) scans every object. Set
+  // before any worker runs.
+  void set_source_marks(const MarkBitmap* marks) { source_marks_ = marks; }
 
   // Attaches the per-pause work-stealing pool. When set, workers Emit
   // discovered objects onto their own deque (pool->Push(worker_id, obj)) so
@@ -157,7 +180,7 @@ class EvacuationTask {
   char* AllocShared(int space, size_t bytes);
   // Queues an object for a referent scan from a non-worker thread,
   // pre-counting it in the pool's outstanding counter so the workers'
-  // termination check covers it.
+  // termination check covers it. Reference-free objects are dropped.
   void Inject(Object* obj);
 
   Heap* heap_;
@@ -165,6 +188,7 @@ class EvacuationTask {
   ProfilerHooks* profiler_;
   bool survivor_tracking_;
   CancellationToken* cancel_;
+  const MarkBitmap* source_marks_ = nullptr;
   WorkStealingPool<Object*>* pool_ = nullptr;
   std::atomic<bool> failed_{false};
 

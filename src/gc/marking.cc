@@ -30,7 +30,9 @@ void Marker::Visit(Object* obj, std::vector<Object*>* stack) {
   AccountingRegion(heap_->regions(), obj)->AddLiveBytes(obj->size_bytes);
   marked_objects_++;
   marked_bytes_ += obj->size_bytes;
-  stack->push_back(obj);
+  if (!heap_->IsRefFree(obj)) {
+    stack->push_back(obj);
+  }
 }
 
 void Marker::TraceWorklist(std::vector<Object*>* stack) {
@@ -85,7 +87,8 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
   }
 
   // Parallel: root slots are claimed in chunks from a shared cursor; each
-  // marked object goes onto the claiming worker's Chase-Lev deque, and idle
+  // marked object with reference slots goes onto the claiming worker's
+  // Chase-Lev deque (reference-free ones are done once marked), and idle
   // workers steal from the others — a worker that lands on a root pointing at
   // a huge structure no longer serializes the phase. Workers claim objects
   // via the atomic bitmap, so double-visits are impossible even when an item
@@ -112,7 +115,9 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
       AccountingRegion(heap_->regions(), obj)->AddLiveBytes(obj->size_bytes);
       local_objs++;
       local_bytes += obj->size_bytes;
-      pool.Push(w, obj);
+      if (!heap_->IsRefFree(obj)) {
+        pool.Push(w, obj);
+      }
     };
     for (;;) {
       size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);

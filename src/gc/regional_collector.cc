@@ -255,7 +255,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
     Marker marker(heap_, &bitmap_);
     CancellationToken mark_cancel;
     {
-      WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kMark, &mark_cancel, &metrics_);
+      WatchdogPhaseScope scope = PhaseScope(GcPhase::kMark, &mark_cancel);
       ROLP_TRACE_SCOPE("gc", "gc.phase.mark");
       marker.MarkFromRoots(safepoints_, workers_.get(), &mark_cancel);
     }
@@ -281,7 +281,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
   if (mixed && verify_options_.enabled()) {
     uint64_t verify_t0 = NowNs();
     CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kVerify, &verify_cancel);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
     HeapVerifier verifier(heap_, safepoints_);
     HeapVerifier::Report report = verifier.VerifyPostMark(
@@ -308,7 +308,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
   std::vector<Region*> scrub_list;
   const uint32_t n = workers_->size();
   {
-    WatchdogPhaseScope scan_scope(watchdog_.get(), GcPhase::kScan, nullptr, &metrics_);
+    WatchdogPhaseScope scan_scope = PhaseScope(GcPhase::kScan, nullptr);
     ROLP_TRACE_SCOPE("gc", "gc.phase.scan");
     struct ScanPartial {
       size_t used[kNumDynamicGens + 1] = {};
@@ -504,6 +504,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
   EvacuationCycle& c = *cycle;
   c.mixed = mixed;
   c.trust_marks = trust_marks;
+  c.task.set_source_marks(trust_marks ? &bitmap_ : nullptr);
   c.evac_t0 = evac_t0;
   c.cset = std::move(cset);
   c.remset_sources = std::move(remset_sources);
@@ -523,22 +524,22 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
 void RegionalCollector::RunEvacuationWorkers(EvacuationCycle& c) {
   // Scan units are claimed from a shared cursor: root-slot chunks (STW only;
   // a concurrent cycle healed its roots in the arming pause), then one unit
-  // per remset source region, then one per scrub region. Every object needing
-  // a referent scan — to-space copies and live source-region objects alike —
-  // becomes an item on the claiming worker's Chase-Lev deque, stealable by
-  // idle workers. The pool's outstanding counter (units pre-added here,
-  // items counted at Push or at mutator injection) provides termination: a
-  // worker whose queues all look empty spins until the counter drains, since
-  // a straggler may still publish work.
+  // per remset source region, then one per scrub region. Work items on the
+  // claiming worker's Chase-Lev deque, stealable by idle workers, are
+  // to-space copies and self-forwards with reference slots, plus
+  // source-region continuations; reference-free objects never become items.
+  // The pool's outstanding counter (units pre-added here, items counted at
+  // Push or at mutator injection) provides termination: a worker whose
+  // queues all look empty spins until the counter drains, since a straggler
+  // may still publish work.
   const size_t chunk = StealChunkSize();
   const size_t root_units = (c.roots.size() + chunk - 1) / chunk;
   const size_t source_end = root_units + c.remset_sources.size();
   const size_t total_units = source_end + c.scrub_list.size();
   c.pool.AddOutstanding(static_cast<int64_t>(total_units));
 
-  WatchdogPhaseScope scope(watchdog_.get(),
-                           c.concurrent ? GcPhase::kConcurrentEvac : GcPhase::kEvacuate,
-                           &c.cancel, &metrics_);
+  WatchdogPhaseScope scope =
+      PhaseScope(c.concurrent ? GcPhase::kConcurrentEvac : GcPhase::kEvacuate, &c.cancel);
   ROLP_TRACE_SCOPE("gc", c.concurrent ? "gc.phase.concurrent-evac" : "gc.phase.evacuate");
   workers_->RunTask([&](uint32_t w) {
     // Stall-only fail points: a delay:<ms> arm sleeps here and returns false.
@@ -559,19 +560,13 @@ void RegionalCollector::RunEvacuationWorkers(EvacuationCycle& c) {
           ew.ProcessRootSlot(c.roots[i], nullptr);
         }
       } else if (u < source_end) {
-        // Source regions enqueue their live objects as stealable items
-        // rather than scanning inline: one dense region no longer serializes
-        // the phase on whichever worker claimed it. Safe to walk off-pause:
-        // mutators only allocate into regions that were free at the arming
-        // pause, which are never remset sources, and object sizes never
-        // change in place.
-        Region* s = c.remset_sources[u - root_units];
-        s->ForEachObject([&](Object* obj) {
-          if (c.trust_marks && !bitmap_.IsMarked(obj)) {
-            return;  // precise: skip dead objects when marks are fresh
-          }
-          c.pool.Push(w, obj);
-        });
+        // Source regions are scanned in place, slice by slice, with the rest
+        // of the region stealable as a continuation item: one dense region
+        // does not serialize the phase on whichever worker claimed it. Safe
+        // to walk off-pause: mutators only allocate into regions that were
+        // free at the arming pause, which are never remset sources, and
+        // object sizes never change in place.
+        ew.ScanSource(c.remset_sources[u - root_units]->begin());
       } else {
         // Scrub units: dead objects are unreachable, so the free-block
         // rewrite races with nothing — a source-scan unit walking the same
@@ -589,7 +584,7 @@ void RegionalCollector::RunEvacuationWorkers(EvacuationCycle& c) {
     Object* obj = nullptr;
     for (;;) {
       if (c.pool.TryGet(w, &obj) || c.task.TakeInjected(&obj)) {
-        ew.ScanObject(obj);
+        ew.ProcessItem(obj);
         c.pool.FinishOne();
         if ((++steps & 63) == 0) {
           workers_->Heartbeat(w);
@@ -627,7 +622,7 @@ void RegionalCollector::StartConcurrentEvacuation(std::unique_ptr<EvacuationCycl
     // a heap slot — which its load barrier heals. Copies made here land on
     // eworkers[0]'s deque (the pause thread owns it until worker 0 starts)
     // for the off-pause workers to scan.
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &c.cancel, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kEvacuate, &c.cancel);
     ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
     for (std::atomic<Object*>* slot : c.roots) {
       c.eworkers[0].ProcessRootSlot(slot, nullptr);
@@ -679,7 +674,7 @@ void RegionalCollector::FinishConcurrentCycle() {
   c.remap_cpu0 = ThreadCpuNs();
   PreparePause();
   {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kEvacuate, nullptr);
     ROLP_TRACE_SCOPE("gc", "gc.phase.remap");
     // Drain objects injected after the workers exited, then re-heal the
     // roots: handles created during the window already hold healed values
@@ -734,7 +729,7 @@ void RegionalCollector::FinishEvacuation(EvacuationCycle& c, PauseKind kind, uin
   if (verify_options_.enabled() && !doomed.empty()) {
     uint64_t verify_t0 = NowNs();
     CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kVerify, &verify_cancel);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
     HeapVerifier verifier(heap_, safepoints_);
     HeapVerifier::Report report = verifier.VerifyCollectionSet(
@@ -778,7 +773,7 @@ void RegionalCollector::FinishEvacuation(EvacuationCycle& c, PauseKind kind, uin
     metrics_.AddRemapCpuNs(ThreadCpuNs() - c.remap_cpu0);
   }
   if (profiler_ != nullptr) {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kProfilerMerge, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kProfilerMerge, nullptr);
     ROLP_TRACE_SCOPE("gc", "gc.phase.profiler-merge");
     uint64_t prof_t0 = NowNs();
     profiler_->OnGcEnd({metrics_.GcCycles(), rec.duration_ns, rec.kind, workers_.get()});
@@ -822,7 +817,7 @@ void RegionalCollector::VerifyHeapSample(const char* when) {
   uint64_t verify_t0 = NowNs();
   RegionManager& regions = heap_->regions();
   CancellationToken verify_cancel;
-  WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+  WatchdogPhaseScope scope = PhaseScope(GcPhase::kVerify, &verify_cancel);
   ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
   HeapVerifier verifier(heap_, safepoints_);
   HeapVerifier::Report report = verifier.VerifySampledWalk(
@@ -847,7 +842,7 @@ void RegionalCollector::DoFull(uint64_t t0) {
   {
     // The STW fallback is not cancellable (no token): it must finish. The
     // watchdog still times it — repeated overruns here abort (ladder rung 5).
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kCompact, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kCompact, nullptr);
     ROLP_TRACE_SCOPE("gc", "gc.phase.compact");
     // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
     (void)ROLP_FAULT_POINT("gc.phase.compact.stall");
@@ -865,7 +860,7 @@ void RegionalCollector::DoFull(uint64_t t0) {
   PauseRecord rec{t0, t1 - t0, PauseKind::kFull, moved};
   RecordPause(rec);
   if (profiler_ != nullptr) {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kProfilerMerge, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kProfilerMerge, nullptr);
     profiler_->OnGcEnd({metrics_.GcCycles(), rec.duration_ns, rec.kind, workers_.get()});
   }
   ReportOverrunToProfiler();

@@ -142,24 +142,27 @@ class GcWatchdog {
 
 // Null-safe RAII phase bracket: the watchdog half is a no-op when `watchdog`
 // is null (disabled). When `metrics` is given, the scope also charges the
-// bracketing thread's CPU time (CLOCK_THREAD_CPUTIME_ID delta) to the phase's
-// GcMetrics::PhaseCpuNs slot — independent of whether the watchdog exists, so
+// phase's CPU time to its GcMetrics::PhaseCpuNs slot — the bracketing
+// thread's own CLOCK_THREAD_CPUTIME_ID delta plus, when `workers` is given,
+// what that pool's threads spent on items dispatched inside the scope
+// (WorkerPool::worker_cpu_ns). Independent of whether the watchdog exists, so
 // per-phase CPU attribution works with ROLP_WATCHDOG=0 too.
 class WatchdogPhaseScope {
  public:
   WatchdogPhaseScope(GcWatchdog* watchdog, GcPhase phase, CancellationToken* token,
-                     GcMetrics* metrics = nullptr)
-      : watchdog_(watchdog), metrics_(metrics), phase_(phase) {
+                     GcMetrics* metrics = nullptr, const WorkerPool* workers = nullptr)
+      : watchdog_(watchdog), metrics_(metrics), workers_(workers), phase_(phase) {
     if (watchdog_ != nullptr) {
       watchdog_->BeginPhase(phase, token);
     }
     if (metrics_ != nullptr) {
-      cpu_start_ns_ = ThreadCpuNs();
+      cpu_start_ns_ = ThreadCpuNs() + WorkerCpuNs();
     }
   }
   ~WatchdogPhaseScope() {
     if (metrics_ != nullptr) {
-      metrics_->AddPhaseCpuNs(static_cast<size_t>(phase_), ThreadCpuNs() - cpu_start_ns_);
+      metrics_->AddPhaseCpuNs(static_cast<size_t>(phase_),
+                              ThreadCpuNs() + WorkerCpuNs() - cpu_start_ns_);
     }
     if (watchdog_ != nullptr) {
       watchdog_->EndPhase();
@@ -170,8 +173,11 @@ class WatchdogPhaseScope {
   WatchdogPhaseScope& operator=(const WatchdogPhaseScope&) = delete;
 
  private:
+  uint64_t WorkerCpuNs() const { return workers_ != nullptr ? workers_->worker_cpu_ns() : 0; }
+
   GcWatchdog* watchdog_;
   GcMetrics* metrics_;
+  const WorkerPool* workers_;
   GcPhase phase_;
   uint64_t cpu_start_ns_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "src/util/check.h"
+#include "src/util/clock.h"
 #include "src/util/fault_injection.h"
 #include "src/util/log.h"
 
@@ -21,6 +22,11 @@ WorkerPool::PoolState::PoolState(uint32_t n)
 WorkerPool::WorkerPool(uint32_t num_workers)
     : num_workers_(num_workers), state_(std::make_shared<PoolState>(num_workers)) {
   ROLP_CHECK(num_workers >= 1);
+  if (num_workers == 1) {
+    // The dispatching thread is the only worker; nothing to start or join.
+    state_->exited[0] = true;
+    return;
+  }
   threads_.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; w++) {
     std::shared_ptr<PoolState> s = state_;
@@ -50,7 +56,7 @@ WorkerPool::~WorkerPool() {
     });
     exited_snapshot = s.exited;
   }
-  for (uint32_t w = 0; w < num_workers_; w++) {
+  for (uint32_t w = 0; w < threads_.size(); w++) {
     if (exited_snapshot[w]) {
       threads_[w].join();
     } else {
@@ -140,6 +146,16 @@ void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
   const uint32_t n = num_workers_;
   std::unique_lock<std::mutex> lock(s.mu);
   ROLP_CHECK(s.task == nullptr);
+  if (threads_.empty()) {
+    s.task = &task;
+    s.current_item[0] = 0;  // the watchdog's view of the running item
+    lock.unlock();
+    task(0);
+    lock.lock();
+    s.current_item[0] = -1;
+    s.task = nullptr;
+    return;
+  }
   s.task = &task;
   s.completed = 0;
   s.total_items = n;
@@ -193,7 +209,7 @@ void WorkerPool::ParallelFor(size_t count, size_t chunk,
   if (chunk == 0) {
     chunk = 1;
   }
-  if (num_workers_ == 1 || count <= chunk) {
+  if (count <= chunk) {
     fn(0, 0, count);
     return;
   }
@@ -249,7 +265,9 @@ void WorkerPool::WorkerLoop(std::shared_ptr<PoolState> state, uint32_t thread_in
       s.cv_exit.notify_all();
       return;
     }
+    uint64_t cpu0 = ThreadCpuNs();
     (*task)(item);
+    s.worker_cpu_ns.fetch_add(ThreadCpuNs() - cpu0, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> guard(s.mu);
       s.current_item[thread_index] = -1;

@@ -3,17 +3,19 @@
 // Each item runs exactly once per RunTask call on whichever worker claims it,
 // so the historical "one invocation per worker id" contract is preserved —
 // ids stay distinct and dense — while letting surviving workers pick up the
-// items of a worker that died mid-pause.
+// items of a worker that died mid-pause. A one-worker pool starts no thread:
+// its single item runs on the dispatching thread (no wake-up handoff), still
+// visible to the watchdog as worker 0's current item.
 //
 // Robustness contract (GC watchdog support):
 //  - Tasks may publish liveness via Heartbeat(item_id): one relaxed atomic
 //    store, and nothing at all unless heartbeats were enabled.
-//  - A worker thread that dies (simulated by the "gc.worker.die" fail point)
-//    abandons its claimed item; RunTask (or the watchdog, via
-//    ReclaimAbandonedItems) requeues it onto survivors. Item bodies must
-//    therefore tolerate partial re-execution — all GC phases here do, because
-//    marking is idempotent on the atomic mark bitmap and evacuation installs
-//    forwarding pointers with CAS.
+//  - A worker thread that dies (simulated by the "gc.worker.die" fail point
+//    in pools of two or more workers) abandons its claimed item; RunTask (or
+//    the watchdog, via ReclaimAbandonedItems) requeues it onto survivors.
+//    Item bodies must therefore tolerate partial re-execution — all GC
+//    phases here do, because marking is idempotent on the atomic mark bitmap
+//    and evacuation installs forwarding pointers with CAS.
 //  - Destruction joins with a timeout: a worker wedged inside a task is
 //    detached and reported instead of deadlocking the VM. All shared state
 //    lives in a shared_ptr owned jointly by the pool and every worker thread,
@@ -50,15 +52,16 @@ class WorkerPool {
   // Runs task(w) exactly once for each w in [0, size()) and blocks until all
   // invocations complete. Items abandoned by dead workers are requeued onto
   // survivors; if every worker is dead the caller runs the leftovers inline.
-  // Must not be called re-entrantly.
+  // A one-worker pool runs its item on the calling thread. Must not be
+  // called re-entrantly.
   void RunTask(const std::function<void(uint32_t)>& task);
 
   // Runs fn(item_id, begin, end) over [0, count) in chunks claimed from a
   // shared cursor — self-balancing where a static stride is not. Runs inline
-  // on the calling thread when the range fits one chunk or the pool has a
-  // single worker. Blocks until the whole range is processed; the usual
-  // RunTask dead-worker requeue applies (chunks are claimed inside the item
-  // body, so a worker dying at the fail points never strands a chunk).
+  // on the calling thread when the range fits one chunk. Blocks until the
+  // whole range is processed; the usual RunTask dead-worker requeue applies
+  // (chunks are claimed inside the item body, so a worker dying at the fail
+  // points never strands a chunk).
   void ParallelFor(size_t count, size_t chunk,
                    const std::function<void(uint32_t, size_t, size_t)>& fn);
 
@@ -89,6 +92,14 @@ class WorkerPool {
 
   // Cumulative count of items requeued after worker death (this pool).
   uint64_t items_requeued() const;
+
+  // Cumulative thread-CPU time (CLOCK_THREAD_CPUTIME_ID) the pool's threads
+  // spent running items. Items run on the dispatching thread (one-worker
+  // pools, the all-dead fallback) are on that thread's own clock instead.
+  // Complete for every RunTask that has returned.
+  uint64_t worker_cpu_ns() const {
+    return state_->worker_cpu_ns.load(std::memory_order_relaxed);
+  }
 
   // --- Shutdown policy -----------------------------------------------------
   // How long the destructor waits for workers before detach-and-report.
@@ -125,6 +136,7 @@ class WorkerPool {
 
     // Lock-free.
     std::atomic<bool> heartbeats_enabled{false};
+    std::atomic<uint64_t> worker_cpu_ns{0};
     std::vector<HeartbeatSlot> heartbeats;  // indexed by item id
   };
 

@@ -546,7 +546,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
   if (verify_options_.enabled() && !doomed.empty()) {
     uint64_t v0 = NowNs();
     CancellationToken verify_cancel;
-    WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+    WatchdogPhaseScope vscope = PhaseScope(GcPhase::kVerify, &verify_cancel);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
     // ZGC keeps no remembered sets, and Relocate copies marks verbatim so
     // to-space copies are unmarked at their new addresses. Restrict the sweep
@@ -604,7 +604,7 @@ void ZgcCollector::DoFull(MutatorContext* ctx) {
   {
     // ZGC's concurrent mark/relocate phases are mutator-paced increments and
     // are not watchdog-timed; only the STW compaction fallback is (rung 5).
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kCompact, nullptr, &metrics_);
+    WatchdogPhaseScope scope = PhaseScope(GcPhase::kCompact, nullptr);
     (void)ROLP_FAULT_POINT("gc.phase.compact.stall");
     moved = compactor.Collect(safepoints_, workers_.get());
   }

@@ -11,6 +11,12 @@ ClassRegistry::ClassRegistry() {
   data_array_class_ = RegisterDataArray("byte[]");
 }
 
+ClassRegistry::~ClassRegistry() {
+  for (std::atomic<ClassInfo*>& bucket : buckets_) {
+    delete[] bucket.load(std::memory_order_relaxed);
+  }
+}
+
 ClassId ClassRegistry::RegisterInstance(const std::string& name, uint32_t payload_size,
                                         std::vector<uint32_t> ref_offsets) {
   ROLP_CHECK(payload_size % kObjectAlignment == 0);
@@ -42,20 +48,18 @@ ClassId ClassRegistry::RegisterDataArray(const std::string& name) {
 
 ClassId ClassRegistry::RegisterLocked(ClassInfo info) {
   std::lock_guard<SpinLock> guard(lock_);
-  info.id = static_cast<ClassId>(classes_.size());
-  classes_.push_back(std::move(info));
-  return classes_.back().id;
-}
-
-const ClassInfo& ClassRegistry::Get(ClassId id) const {
-  std::lock_guard<SpinLock> guard(lock_);
-  ROLP_CHECK(id < classes_.size());
-  return classes_[id];
-}
-
-size_t ClassRegistry::NumClasses() const {
-  std::lock_guard<SpinLock> guard(lock_);
-  return classes_.size();
+  uint32_t id = size_.load(std::memory_order_relaxed);
+  ROLP_CHECK(id < kFreeBlockClassId);
+  Slot slot = SlotOf(id);
+  ClassInfo* entries = buckets_[slot.bucket].load(std::memory_order_relaxed);
+  if (entries == nullptr) {
+    entries = new ClassInfo[kFirstBucketSize << slot.bucket];
+    buckets_[slot.bucket].store(entries, std::memory_order_relaxed);
+  }
+  info.id = id;
+  entries[slot.index] = std::move(info);
+  size_.store(id + 1, std::memory_order_release);  // publishes entry and bucket
+  return id;
 }
 
 }  // namespace rolp

@@ -110,6 +110,25 @@ class Heap {
   // after phase changes.
   void RefreshBarrierMode();
 
+  // True when ForEachRefSlot would visit nothing: data arrays, free blocks,
+  // instances without reference fields and zero-length reference arrays.
+  // Tracing and evacuation never queue such objects for a scan.
+  bool IsRefFree(const Object* obj) const {
+    if (obj->class_id == kFreeBlockClassId) {
+      return true;
+    }
+    const ClassInfo& info = classes_->Get(obj->class_id);
+    switch (info.kind) {
+      case ClassKind::kInstance:
+        return info.ref_offsets.empty();
+      case ClassKind::kRefArray:
+        return obj->ArrayLength() == 0;
+      case ClassKind::kDataArray:
+        return true;
+    }
+    return false;
+  }
+
   // Iterates the reference slots of an object according to its class.
   template <typename Fn>
   void ForEachRefSlot(Object* obj, Fn&& fn) {

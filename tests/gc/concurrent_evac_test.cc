@@ -6,12 +6,14 @@
 // parity with the STW pause, which runs the same evacuation pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_map>
 
+#include "src/gc/evacuation.h"
 #include "src/gc/regional_collector.h"
 #include "src/util/fault_injection.h"
 #include "src/util/metrics_registry.h"
@@ -319,6 +321,157 @@ TEST_F(ConcurrentEvacTest, StwAndConcurrentPipelinesAgree) {
     EXPECT_GT(env_->collector->metrics().BytesCopied(), 0u);
   }
   EXPECT_EQ(checksums[0], checksums[1]);
+}
+
+// A remembered-set source region mixing reference-free objects (byte[],
+// instances without reference fields, empty ref arrays) with ref arrays that
+// point into young. Only the ref-bearing objects are scanned in place; the
+// young objects they reach are found through them alone, so a skipped or
+// mis-walked source object shows up as a lost or dangling referent. A young
+// and then a mixed cycle (marks trusted, dead sources skipped and scrubbed)
+// must both keep the reachable graph intact in both pipelines.
+TEST_F(ConcurrentEvacTest, RefFreeObjectsInSourceRegionKeepGraphInBothPipelines) {
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "stw");
+    GcConfig cfg;
+    cfg.num_workers = 2;
+    cfg.use_dynamic_gens = true;
+    cfg.mixed_trigger_occupancy = 0.15;
+    Start(32, cfg, concurrent);
+    rc()->mutable_verify_options().level = VerifyLevel::kFull;
+    const ClassId plain_cls = env_->heap->classes().RegisterInstance("Plain", 16, {});
+
+    // Gen 2 region: per holder a byte[], a ref-free instance, an empty ref
+    // array and a 3-slot ref array; every 8th ref array is left unreachable
+    // (dead, still pointing into young once filled).
+    constexpr int kHolders = 96;
+    size_t keep = env_->PushRoot(env_->AllocRefArray(kHolders * 4, /*gen=*/2));
+    size_t dead = env_->PushRoot(env_->AllocRefArray(kHolders, /*gen=*/2));
+    for (int i = 0; i < kHolders; i++) {
+      Object* bytes = env_->AllocDataArray(100 + i, 2);
+      FillPattern(bytes, i);
+      env_->SetElem(env_->Root(keep), 4 * i, bytes);
+      Object* plain = env_->AllocInstance(plain_cls, 2);
+      *reinterpret_cast<uint64_t*>(plain->payload()) = static_cast<uint64_t>(i);
+      env_->SetElem(env_->Root(keep), 4 * i + 1, plain);
+      env_->SetElem(env_->Root(keep), 4 * i + 2, env_->AllocRefArray(0, 2));
+      Object* refs = env_->AllocRefArray(3, 2);
+      env_->SetElem(i % 8 == 0 ? env_->Root(dead) : env_->Root(keep),
+                    i % 8 == 0 ? i : 4 * i + 3, refs);
+    }
+    Region* source = env_->heap->regions().RegionFor(env_->Root(keep));
+    // Points every reachable ref array's slots (and, while the dead ones are
+    // still rooted, theirs) at fresh young objects: a byte[], a Node and a
+    // ref-free instance.
+    auto point_into_young = [&](int round) {
+      for (int i = 0; i < kHolders; i++) {
+        if (i % 8 == 0 && env_->Root(dead) == nullptr) {
+          continue;
+        }
+        for (int k = 0; k < 3; k++) {
+          Object* young = nullptr;
+          if (k == 0) {
+            young = env_->AllocDataArray(48);
+            FillPattern(young, round * 1000 + i);
+          } else if (k == 1) {
+            young = env_->AllocInstance(node_cls_);
+            *reinterpret_cast<uint64_t*>(young->payload() + 8) = static_cast<uint64_t>(i);
+          } else {
+            young = env_->AllocInstance(plain_cls);
+          }
+          Object* refs = i % 8 == 0 ? env_->GetElem(env_->Root(dead), i)
+                                    : env_->GetElem(env_->Root(keep), 4 * i + 3);
+          ASSERT_EQ(env_->heap->regions().RegionFor(refs), source);
+          env_->SetElem(refs, k, young);
+        }
+      }
+    };
+    point_into_young(0);
+    env_->SetRoot(dead, nullptr);
+
+    const uint64_t before_young = GraphChecksum();
+    ASSERT_TRUE(rc()->CollectNow(&env_->ctx));
+    rc()->WaitForConcurrentCycle(&env_->ctx);
+    EXPECT_EQ(env_->PausesOfKind(PauseKind::kYoung), 1u);
+    EXPECT_EQ(GraphChecksum(), before_young);
+
+    // Fresh young referents, then enough dead gen-3 data to push tenured
+    // occupancy past the trigger: the next cycle is mixed.
+    point_into_young(1);
+    for (int i = 0; i < 200; i++) {
+      ASSERT_NE(env_->AllocDataArray(32 * 1024, 3), nullptr);
+    }
+    const uint64_t before_mixed = GraphChecksum();
+    ASSERT_TRUE(rc()->CollectNow(&env_->ctx));
+    rc()->WaitForConcurrentCycle(&env_->ctx);
+    EXPECT_EQ(env_->PausesOfKind(PauseKind::kMixed), 1u);
+    EXPECT_EQ(env_->PausesOfKind(PauseKind::kFull), 0u);
+    EXPECT_EQ(GraphChecksum(), before_mixed);
+    EXPECT_GT(rc()->verify_stats().passes, 0u);
+    EXPECT_EQ(rc()->verify_stats().findings, 0u);
+    EXPECT_EQ(rc()->verify_stats().regions_quarantined, 0u);
+  }
+}
+
+// The skewed shape from BM_PauseYoungSkewedRemset, reduced to one source
+// region: every young survivor is reachable only from ref arrays packed into
+// a single gen 2 region, and the survivors hold no references, so they never
+// become work items. The region is many slices long, so with four workers the
+// claimant's published continuations get stolen and more than one worker
+// copies survivors in the same cycle. Retried over several cycles because
+// stealing needs the other workers to be scheduled while the claimant scans;
+// the survivors are 64 B so one cycle's copying outlasts a scheduler tick
+// even when all four workers share one CPU.
+TEST_F(ConcurrentEvacTest, DenseSourceRegionSlicesAreStolen) {
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "stw");
+    GcConfig cfg;
+    cfg.num_workers = 4;
+    cfg.use_dynamic_gens = true;
+    cfg.mixed_trigger_occupancy = 2.0;  // young cycles only
+    Start(96, cfg, concurrent);
+    rc()->mutable_verify_options().level = VerifyLevel::kFull;
+    const ClassId leaf_cls = env_->heap->classes().RegisterInstance("Leaf", 48, {});
+
+    constexpr int kArrays = 14;
+    constexpr uint64_t kSlots = 8000;
+    std::vector<size_t> arrays;
+    for (int a = 0; a < kArrays; a++) {
+      arrays.push_back(env_->PushRoot(env_->AllocRefArray(kSlots, /*gen=*/2)));
+    }
+    Region* source = env_->heap->regions().RegionFor(env_->Root(arrays[0]));
+    ASSERT_GT(source->used(), 8 * EvacuationTask::kSourceSliceBytes);
+    for (size_t idx : arrays) {
+      ASSERT_EQ(env_->heap->regions().RegionFor(env_->Root(idx)), source);
+    }
+
+    const GcMetrics& m = env_->collector->metrics();
+    uint32_t most_copiers = 0;
+    for (int round = 0; round < 60 && most_copiers < 2; round++) {
+      for (size_t idx : arrays) {
+        for (uint64_t i = 0; i < kSlots; i++) {
+          env_->SetElem(env_->Root(idx), i, env_->AllocInstance(leaf_cls));
+        }
+      }
+      uint64_t copied0[4];
+      for (uint32_t w = 0; w < 4; w++) {
+        copied0[w] = m.WorkerCopiedBytes(w);
+      }
+      ASSERT_TRUE(rc()->CollectNow(&env_->ctx));
+      rc()->WaitForConcurrentCycle(&env_->ctx);
+      uint32_t copiers = 0;
+      for (uint32_t w = 0; w < 4; w++) {
+        copiers += m.WorkerCopiedBytes(w) > copied0[w] ? 1 : 0;
+      }
+      most_copiers = std::max(most_copiers, copiers);
+    }
+    EXPECT_GE(most_copiers, 2u);
+    EXPECT_EQ(env_->PausesOfKind(PauseKind::kFull), 0u);
+    EXPECT_EQ(rc()->verify_stats().findings, 0u);
+    Object* last = env_->GetElem(env_->Root(arrays.back()), kSlots - 1);
+    ASSERT_NE(last, nullptr);
+    EXPECT_EQ(last->class_id, leaf_cls);
+  }
 }
 
 }  // namespace

@@ -211,6 +211,11 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
   constexpr int kPerThread = 40000;
   constexpr int kContexts = 64;
   std::atomic<bool> stop{false};
+  // Handshake: each writer, after its first flush, waits until a reader
+  // probe pass has found a published entry. The reader's probes then overlap
+  // live writers even where the scheduler would otherwise run every writer
+  // to completion before the reader's first pass (one CPU).
+  std::atomic<bool> reader_saw_entry{false};
 
   // Writers: buffered recording over a shared context set, with periodic
   // voluntary flushes (thread detach / allocation-failure paths do this).
@@ -225,6 +230,9 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
         buffers[t].Record(table, ctx);
         if (i % 10000 == 9999) {
           buffers[t].Flush(table);
+          while (!reader_saw_entry.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
         }
       }
     });
@@ -239,6 +247,9 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
         if (table.Contains(ctx)) {
           seen += table.DecisionFor(ctx) + 1;
         }
+      }
+      if (seen > 0) {
+        reader_saw_entry.store(true, std::memory_order_release);
       }
     }
     EXPECT_GT(seen, 0u);
