@@ -8,8 +8,9 @@
 // copy work across the pool. Timed with manual time around the collection
 // call only (the mutator-side refill between pauses is untimed).
 //
-// BM_PauseYoungRefFreeSources reproduces the text-open young pause: one
-// remembered-set source region of byte[]s with a single ref array into young.
+// BM_PauseYoungRefFreeSources and BM_PauseYoungSparseRefArray reproduce the
+// text-open young pause: one old source region of byte[]s with a single ref
+// array into young (dense, and the index's sparse 20,000-slot shape).
 //
 // BM_ProfilerGcEndInference measures the profiler cost paid *inside* the
 // pause at an inference boundary (worker-table merge + lifetime inference +
@@ -251,22 +252,26 @@ BENCHMARK(BM_PauseConcurrentEvac)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(16);
 
-// The text-open young-pause shape: one old remembered-set source region that
-// is almost all byte[] (kRefFreeDataArrays of them) with a single ref array in
-// the middle whose slots hold the only references to the young survivors,
-// themselves byte[]s. Everything the pause has to do is one region walk plus
-// kYoungReferents copies; how many deque items, wake-ups and class lookups it
-// spends on reference-free objects is overhead. arg = GC workers. evac_ms is
-// gc.pause.evac per pause; cpu_us is process CPU time per collection (every
-// thread: the pause thread and the GC workers).
-constexpr size_t kRefFreeDataArrays = 4900;
-constexpr uint64_t kRefFreeArrayBytes = 176;  // 200 B objects: ~980 KB region
-constexpr uint64_t kYoungReferents = 700;
-constexpr uint64_t kYoungReferentBytes = 576;  // ~420 KB copied per pause
+// The text-open young-pause shapes: one old source region that is almost all
+// byte[] (reference-free), with one ref array in the middle whose slots hold
+// the references to the young survivors, themselves byte[]s. Everything the
+// pause has to do is find those slots plus copy the survivors; how many
+// deque items, wake-ups, class lookups and slot visits it spends on anything
+// else is overhead. arg = GC workers. evac_ms is gc.pause.evac per pause;
+// cpu_us is process CPU time per collection (every thread: the pause thread
+// and the GC workers).
+struct SourceRegionShape {
+  size_t data_arrays;      // 200 B byte[]s around the ref array (~1 MB region)
+  uint64_t ref_slots;      // ref array length
+  uint64_t young_stride;   // every young_stride-th slot references a young byte[]
+  bool old_fill;           // the other slots reference an old byte[] elsewhere
+};
+constexpr uint64_t kRefFreeArrayBytes = 176;   // 200 B objects
+constexpr uint64_t kYoungReferentBytes = 576;  // ~420-580 KB copied per pause
 
-class RefFreeSourceEnv {
+class SourceRegionEnv {
  public:
-  explicit RefFreeSourceEnv(uint32_t workers) {
+  SourceRegionEnv(uint32_t workers, const SourceRegionShape& shape) : shape_(shape) {
     HeapConfig hc;
     hc.heap_bytes = kHeapMb * 1024 * 1024;
     hc.region_bytes = kRegionBytes;
@@ -278,13 +283,24 @@ class RefFreeSourceEnv {
     gc.tenuring_threshold = 16;  // survivors never tenure: steady copy load
     collector_ = std::make_unique<RegionalCollector>(heap_.get(), gc, &safepoints_);
     safepoints_.RegisterThread(&ctx_);
-    for (size_t i = 0; i < kRefFreeDataArrays; i++) {
-      AllocOld(heap_->classes().data_array_class(), heap_->DataArrayAllocSize(kRefFreeArrayBytes),
-               kRefFreeArrayBytes);
-      if (i == kRefFreeDataArrays / 2) {
-        ctx_.local_roots.emplace_back(AllocOld(heap_->classes().ref_array_class(),
-                                               heap_->RefArrayAllocSize(kYoungReferents),
-                                               kYoungReferents));
+    Object* old_target = nullptr;
+    if (shape.old_fill) {
+      // The old referent sits in its own region: fill that region so the
+      // source region starts fresh.
+      old_target = AllocData();
+      Region* first = heap_->regions().RegionFor(old_target);
+      while (heap_->regions().RegionFor(AllocData()) == first) {
+      }
+    }
+    for (size_t i = 0; i < shape.data_arrays; i++) {
+      AllocData();
+      if (i == shape.data_arrays / 2) {
+        Object* holder = AllocOld(heap_->classes().ref_array_class(),
+                                  heap_->RefArrayAllocSize(shape.ref_slots), shape.ref_slots);
+        ctx_.local_roots.emplace_back(holder);
+        for (uint64_t s = 0; s < shape.ref_slots && old_target != nullptr; s++) {
+          heap_->StoreRef(holder, holder->RefArraySlot(s), old_target);
+        }
       }
     }
     RefillYoungReferents();
@@ -292,14 +308,14 @@ class RefFreeSourceEnv {
     RefillYoungReferents();
   }
 
-  ~RefFreeSourceEnv() {
+  ~SourceRegionEnv() {
     collector_->OnMutatorExit(&ctx_);
     safepoints_.UnregisterThread(&ctx_);
   }
 
   void RefillYoungReferents() {
     Object* holder = ctx_.local_roots[0].load(std::memory_order_relaxed);
-    for (uint64_t i = 0; i < kYoungReferents; i++) {
+    for (uint64_t i = 0; i < shape_.ref_slots; i += shape_.young_stride) {
       AllocRequest req;
       req.cls = heap_->classes().data_array_class();
       req.total_bytes = heap_->DataArrayAllocSize(kYoungReferentBytes);
@@ -317,6 +333,11 @@ class RefFreeSourceEnv {
   MutatorContext* ctx() { return &ctx_; }
 
  private:
+  Object* AllocData() {
+    return AllocOld(heap_->classes().data_array_class(),
+                    heap_->DataArrayAllocSize(kRefFreeArrayBytes), kRefFreeArrayBytes);
+  }
+
   Object* AllocOld(ClassId cls, size_t bytes, uint64_t length) {
     AllocRequest req;
     req.cls = cls;
@@ -328,6 +349,7 @@ class RefFreeSourceEnv {
     return obj;
   }
 
+  SourceRegionShape shape_;
   std::unique_ptr<Heap> heap_;
   SafepointManager safepoints_;
   MutatorContext ctx_;
@@ -340,8 +362,8 @@ uint64_t ProcessCpuNs() {
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
 }
 
-void BM_PauseYoungRefFreeSources(benchmark::State& state) {
-  RefFreeSourceEnv env(static_cast<uint32_t>(state.range(0)));
+void RunSourceRegionPauses(benchmark::State& state, const SourceRegionShape& shape) {
+  SourceRegionEnv env(static_cast<uint32_t>(state.range(0)), shape);
   const uint64_t evac0 = env.collector().metrics().PauseEvacNs();
   uint64_t cpu_ns = 0;
   for (auto _ : state) {
@@ -358,7 +380,27 @@ void BM_PauseYoungRefFreeSources(benchmark::State& state) {
       static_cast<double>(env.collector().metrics().PauseEvacNs() - evac0) * 1e-6 / iters;
   state.counters["cpu_us"] = static_cast<double>(cpu_ns) * 1e-3 / iters;
 }
+
+// 700 slots, all young; the region is otherwise 4,900 byte[]s.
+void BM_PauseYoungRefFreeSources(benchmark::State& state) {
+  RunSourceRegionPauses(state, {/*data_arrays=*/4900, /*ref_slots=*/700,
+                                /*young_stride=*/1, /*old_fill=*/false});
+}
 BENCHMARK(BM_PauseYoungRefFreeSources)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(200);
+
+// The index's `open` array: 20,000 slots among ~840 KB of byte[]s, one in
+// twenty referencing a young byte[] (1,000 survivors per pause), the rest an
+// old byte[] in another region.
+void BM_PauseYoungSparseRefArray(benchmark::State& state) {
+  RunSourceRegionPauses(state, {/*data_arrays=*/4200, /*ref_slots=*/20000,
+                                /*young_stride=*/20, /*old_fill=*/true});
+}
+BENCHMARK(BM_PauseYoungSparseRefArray)
     ->Arg(1)
     ->Arg(2)
     ->UseManualTime()

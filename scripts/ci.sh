@@ -162,11 +162,24 @@ if [ "${ROLP_CHAOS_CHECK:-1}" != "0" ] && command -v python3 >/dev/null \
   python3 scripts/chaos.py --seeds "$CHAOS_SEEDS" --seconds "$CHAOS_SECONDS" \
     --rate 0.001 --verify pause --sample 1 --out /tmp/ci_chaos_report.json
   # One deterministic lost-barrier replay: the exact acceptance scenario
-  # (remset drop caught in-pause, survived via quarantine), pinned by spec
-  # rather than by seed so it cannot rotate out of coverage.
+  # (remset drop caught in-pause, survived), pinned by spec rather than by
+  # seed so it cannot rotate out of coverage. It must end without a crash
+  # AND the in-pause verifier must have caught dropped records
+  # (verify_findings > 0): a replay that drops hundreds of barrier records
+  # and reports no finding has stopped testing the verifier.
   build/tests/chaos_campaign --seconds=1 --sample=1 \
-    --faults='heap.remset.drop=every:64' \
-    | tail -1 | grep -q '^CHAOS_RESULT '
+    --faults='heap.remset.drop=every:64' | tail -1 > /tmp/ci_remset_drop.txt
+  python3 - /tmp/ci_remset_drop.txt <<'PY'
+import json, sys
+line = open(sys.argv[1]).read().strip()
+if not line.startswith("CHAOS_RESULT "):
+    sys.exit("remset-drop replay printed no CHAOS_RESULT line")
+r = json.loads(line[len("CHAOS_RESULT "):])
+print("remset-drop replay: %d drops, %d verifier findings, outcome %s"
+      % (r["fault_fires"], r["verify_findings"], r["outcome"]))
+if r["outcome"] == "crash" or r["fault_fires"] == 0 or r["verify_findings"] == 0:
+    sys.exit("remset-drop replay: expected fired drops, verifier findings, no crash")
+PY
   # Concurrent-evacuation chaos leg: same campaign with ROLP_CONCURRENT_EVAC
   # on so the gc.concurrent_evac.* points arm and fire while the load barrier
   # is hot (copy stalls, mutator copy failures, mid-flight cancellation). The

@@ -92,7 +92,6 @@ std::vector<uint32_t> Collector::QuarantineFlagged(HeapVerifier* verifier,
 
 void Collector::RecordCrossRegionEdges(Region* region) {
   RegionManager& regions = heap_->regions();
-  uint32_t index = region->index();
   region->ForEachObject([&](Object* obj) {
     if (obj->class_id == kFreeBlockClassId) {
       return;
@@ -103,21 +102,24 @@ void Collector::RecordCrossRegionEdges(Region* region) {
         return;
       }
       Region* vr = regions.RegionFor(v);
-      if (vr != region && !vr->IsFree()) {
-        vr->RemsetAddRegion(index);
+      if (!vr->IsFree()) {
+        regions.RecordEdge(region, slot, vr);
       }
     });
   });
 }
 
-void Collector::ScrubRetiredEvacFailure(Region* region) {
+void Collector::ScrubRetiredEvacFailure(Region* region, const MarkBitmap* marks) {
   RegionManager& regions = heap_->regions();
+  // The stale originals' slot bits go with them; the survivors' edges are
+  // recorded afresh below.
+  region->ClearYoungSlots();
   size_t live = 0;
   region->ForEachObject([&](Object* obj) {
     if (obj->class_id == kFreeBlockClassId) {
       return;
     }
-    if (markword::IsForwarded(obj->LoadMark())) {
+    if (markword::IsForwarded(obj->LoadMark()) || (marks != nullptr && !marks->IsMarked(obj))) {
       obj->StoreMark(0);
       obj->class_id = kFreeBlockClassId;
       return;
@@ -129,8 +131,8 @@ void Collector::ScrubRetiredEvacFailure(Region* region) {
         return;
       }
       Region* vr = regions.RegionFor(v);
-      if (vr != region && !vr->IsFree()) {
-        vr->RemsetAddRegion(region->index());
+      if (!vr->IsFree()) {
+        regions.RecordEdge(region, slot, vr);
       }
     });
   });
@@ -143,6 +145,10 @@ size_t Collector::ScrubDeadObjects(Region* region, const MarkBitmap& bitmap) {
     if (obj->class_id == kFreeBlockClassId || bitmap.IsMarked(obj)) {
       return;
     }
+    // The dead object's slots leave the heap's slot set: no young scan may
+    // read them once they are free-block payload.
+    char* p = reinterpret_cast<char*>(obj);
+    region->ClearYoungSlots(p, p + obj->size_bytes);
     obj->StoreMark(0);
     obj->class_id = kFreeBlockClassId;
     scrubbed += obj->size_bytes;

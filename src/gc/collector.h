@@ -129,10 +129,13 @@ class Collector {
   // An evacuation-failure region retired to old still holds the stale
   // originals of successfully-copied objects, and its in-place survivors'
   // cross-region edges were recorded under young-to-young rules. Scrub the
-  // stale copies into free blocks, recount live bytes, and re-record the
-  // survivors' edges in the targets' remsets so the retired region is
-  // indistinguishable from a normal old region.
-  void ScrubRetiredEvacFailure(Region* region);
+  // stale copies into free blocks (dropping the region's slot bits), recount
+  // live bytes, and re-record the survivors' edges — slot bits for young
+  // targets, remset entries for old ones — so the retired region is
+  // indistinguishable from a normal old region. With trusted `marks`, the
+  // unmarked (dead) objects are scrubbed too: their slots may name regions
+  // this pause frees.
+  void ScrubRetiredEvacFailure(Region* region, const MarkBitmap* marks = nullptr);
 
   // Region scrubbing (G1-style, post-remark): overwrite every unmarked object
   // in a tenured region with a free-block header. Precise (marks-trusted)
@@ -141,17 +144,18 @@ class Collector {
   // into regions the cycle frees. Nothing live ever reads those slots, but
   // the conservative heap walk does, and conservative young scans would
   // resurrect their referents. Scrubbing removes the stale slots from the
-  // parsable heap. Safe to run concurrently with mutators: unmarked objects
+  // parsable heap and clears their slot bits. Safe to run concurrently with
+  // mutators: unmarked objects
   // are unreachable, and region iteration reads only size_bytes, which
   // scrubbing never changes. Returns the number of bytes scrubbed.
   size_t ScrubDeadObjects(Region* region, const MarkBitmap& bitmap);
 
-  // Records every cross-region edge held by `region`'s objects in the
-  // targets' remsets. Needed when a young region is retired in place (pinned
-  // by quarantine): its outgoing edges were recorded under young-source rules
-  // — i.e. never — so without this, references into the same pause's
-  // collection set would go undiscovered and later pauses could not rescan
-  // the region as a remset source.
+  // Records every cross-region edge held by `region`'s objects: slot bits
+  // for young targets, remset entries for old ones. Needed when a young
+  // region is retired in place (pinned by quarantine): its outgoing edges
+  // were recorded under young-source rules — i.e. never — so without this,
+  // references into the same pause's collection set would go undiscovered
+  // and later pauses could not rescan the region as a source.
   void RecordCrossRegionEdges(Region* region);
 
   // Brackets one phase: watchdog deadline plus per-phase CPU (this thread's

@@ -24,9 +24,10 @@
 //        CascadeQuarantine computes the closed set and scrubs the kept
 //        regions so they stay walkable.
 //      - VerifySampledWalk: structural region walks (tiling, reference
-//        plausibility, stale forwarding, remset completeness) plus the
-//        OLD-table cross-check: every live profiled object's allocation
-//        context must resolve in the table.
+//        plausibility, stale forwarding, remembered-set completeness: a slot
+//        bit for every tenured-to-young edge, a remset entry or slot bit for
+//        every edge into old) plus the OLD-table cross-check: every live
+//        profiled object's allocation context must resolve in the table.
 //
 // The verifier only reports; deciding to quarantine, degrade, or abort is the
 // collector's recovery policy (Collector::ApplyVerification).
@@ -85,7 +86,8 @@ class HeapVerifier {
       kStaleForward,    // forwarded object found outside an evacuation pause
       kStaleRef,        // live reference into a region about to be freed
       kDanglingRef,     // reference to a free region or implausible object
-      kMissingRemset,   // cross-region edge absent from the target's remset
+      kMissingRemset,   // cross-region edge unrecorded: no slot bit (young target)
+                        // or no remset entry (old target)
       kBadMark,         // mark bitmap inconsistent with liveness accounting
       kOldTableMiss,    // live profiled context missing from the OLD table
       kRootCorrupt,     // root slot corruption (fatal)

@@ -201,7 +201,15 @@ void MarkCompact::RebuildRemsets(const std::vector<Region*>& occupied,
       }
     });
   }
-  regions.ForEachRegion([](Region* r) { r->ClearRemset(); });
+  // Compaction moved every object and left no young region behind, so no
+  // slot may keep a young-slot bit. An unscannable region keeps its bits:
+  // they are the only record of its pins (RegionManager::PinnedByQuarantine).
+  regions.ForEachRegion([](Region* r) {
+    r->ClearRemset();
+    if (!r->IsUnscannable()) {
+      r->ClearYoungSlots();
+    }
+  });
   for (auto& [r, u] : quarantine_edges) {
     r->RemsetAddRegion(u);
   }

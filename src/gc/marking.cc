@@ -133,8 +133,10 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
     }
     Object* obj = nullptr;
     bool bailed = false;
+    uint32_t idle = 0;
     while (!bailed) {
       if (pool.TryGet(w, &obj)) {
+        idle = 0;
         heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
           visit(slot->load(std::memory_order_relaxed));
         });
@@ -148,13 +150,13 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
       if (pool.Done()) {
         break;
       }
-      // All queues looked empty but a straggler still holds work: spin
-      // politely, keep publishing liveness, and watch for cancellation.
+      // All queues looked empty but a straggler still holds work: wait for
+      // it, keep publishing liveness, and watch for cancellation.
       workers->Heartbeat(w);
       if (cancel != nullptr && cancel->IsCancelled()) {
         break;  // partial marking; caller discards and falls back
       }
-      std::this_thread::yield();
+      pool.Idle(&idle);
     }
     objs[w] = local_objs;
     bytes[w] = local_bytes;

@@ -14,9 +14,11 @@
 // incremented for every queued unit (scan units up front, items at Push) and
 // decremented when a unit finishes, so "outstanding == 0" means globally done
 // even while items are in flight between queues. Workers that find all queues
-// empty spin on the counter (polling heartbeats / cancellation at the call
-// site) rather than exiting early and dropping work a straggler might still
-// publish.
+// empty wait on the counter (Idle: a few yields, then short timed waits so
+// heartbeats and cancellation checks still run at the call site) rather than
+// exiting early and dropping work a straggler might still publish. Push,
+// Notify and the last FinishOne wake waiters; while nobody waits, the push
+// side pays one relaxed load of the waiter count.
 //
 // Item type T must be trivially copyable and lock-free as std::atomic<T>
 // (the GC uses Object*).
@@ -24,8 +26,12 @@
 #define SRC_GC_STEALABLE_QUEUE_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/util/check.h"
@@ -193,10 +199,44 @@ class WorkStealingPool {
   void Push(uint32_t w, T value) {
     outstanding_.fetch_add(1, std::memory_order_relaxed);
     queues_[w]->Push(value);
+    Notify();
+  }
+
+  // Wakes an idle worker, if any: for work published outside the deques
+  // (pre-counted with AddOutstanding, e.g. a mutator's injected object).
+  void Notify() {
+    if (waiters_.load(std::memory_order_relaxed) > 0) {
+      WakeWaiters(/*all=*/false);
+    }
   }
 
   // Marks one unit (queued item or externally-counted scan unit) finished.
-  void FinishOne() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
+  // The last one wakes every idle worker so they can exit.
+  void FinishOne() {
+    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        waiters_.load(std::memory_order_relaxed) > 0) {
+      WakeWaiters(/*all=*/true);
+    }
+  }
+
+  // One idle step of a worker whose TryGet came back empty before Done().
+  // The first kSpinRounds consecutive steps (`*rounds` counts them; reset it
+  // after finding work) yield; later ones block until a wake-up or
+  // kIdleWait passes, so the caller's loop still runs its heartbeat and
+  // cancellation checks. A wake-up that races the waiter's emptiness check
+  // costs at most one kIdleWait.
+  void Idle(uint32_t* rounds) {
+    if ((*rounds)++ < kSpinRounds) {
+      std::this_thread::yield();
+      return;
+    }
+    std::unique_lock<std::mutex> lock(wait_mu_);
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+    if (!Done() && AllEmpty()) {
+      wait_cv_.wait_for(lock, kIdleWait);
+    }
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
 
   // All queued and externally-counted work done?
   bool Done() const { return outstanding_.load(std::memory_order_acquire) == 0; }
@@ -219,9 +259,34 @@ class WorkStealingPool {
 
   StealableTaskQueue<T>& queue(uint32_t w) { return *queues_[w]; }
 
+  static constexpr uint32_t kSpinRounds = 16;
+  static constexpr std::chrono::milliseconds kIdleWait{1};
+
  private:
+  bool AllEmpty() const {
+    for (const auto& q : queues_) {
+      if (!q->Empty()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void WakeWaiters(bool all) {
+    // Taking the lock orders the notify after any waiter's emptiness check.
+    { std::lock_guard<std::mutex> lock(wait_mu_); }
+    if (all) {
+      wait_cv_.notify_all();
+    } else {
+      wait_cv_.notify_one();
+    }
+  }
+
   std::vector<std::unique_ptr<StealableTaskQueue<T>>> queues_;
   alignas(64) std::atomic<int64_t> outstanding_{0};
+  alignas(64) std::atomic<int32_t> waiters_{0};
+  std::mutex wait_mu_;
+  std::condition_variable wait_cv_;
 };
 
 }  // namespace rolp

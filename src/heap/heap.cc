@@ -113,7 +113,7 @@ void RemsetBarrierSet::StoreBarrier(Object* src, std::atomic<Object*>* slot, Obj
   if (ROLP_FAULT_POINT("heap.remset.drop")) {
     return;  // simulated lost barrier: the edge is never recorded
   }
-  dst_region->RemsetAddRegion(src_region->index());
+  regions_->RecordEdge(src_region, slot, dst_region);
 }
 
 }  // namespace rolp

@@ -180,9 +180,9 @@ class Heap {
   std::atomic<uint64_t> max_used_bytes_{0};
 };
 
-// Default barrier set: region-coarse remembered-set recording for
-// cross-region stores where the target may later be collected independently
-// of the source.
+// Default barrier set: remembered-set recording for cross-region stores
+// where the target may later be collected independently of the source (a
+// slot bit for young targets, a source-region entry for old ones).
 class RemsetBarrierSet : public BarrierSet {
  public:
   explicit RemsetBarrierSet(RegionManager* regions) : regions_(regions) {}

@@ -2,16 +2,24 @@
 // equal-sized regions; each region is in exactly one state (free, eden,
 // survivor, old, dynamic generation g, humongous head/continuation).
 //
-// Remembered sets are region-coarse: the write barrier records, in the
-// *target* region, the index of the *source* region of a cross-region
-// reference store (an atomic bitmap, one bit per heap region). At collection
-// time, the union of the collection-set regions' remembered sets names the
-// regions whose objects must be scanned for incoming references. This is
-// coarser than card tables but is immune to dangling-slot problems when
-// source regions are freed and reused, and inserts are a single fetch_or.
+// Remembered sets come in two granularities (DESIGN.md section 5):
+//
+//  * Young targets: every non-young region owns a slot table, one bit per
+//    8-byte word of its own address range (generational ZGC's remembered-set
+//    bitmap; G1's card table at slot granularity). A set bit means "this slot
+//    may hold a reference into young". Young pauses scan only those slots.
+//  * Old targets: the write barrier records, in the *target* region, the index
+//    of the *source* region (an atomic bitmap, one bit per heap region). Mixed
+//    pauses walk the union of the old collection-set regions' sources. Young
+//    regions never carry such entries.
+//
+// A slot bit names an address, so every place that reuses or reformats heap
+// words (region free, scrubbing, compaction, free-list reuse) clears the bits
+// over them.
 #ifndef SRC_HEAP_REGION_H_
 #define SRC_HEAP_REGION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -40,10 +48,15 @@ class Region {
   Region(const Region&) = delete;
   Region& operator=(const Region&) = delete;
 
-  void Init(uint32_t index, char* begin, char* end, uint32_t num_heap_regions) {
+  // `slot_bits` is this region's slice of the heap-wide slot table (one bit
+  // per word of [begin, end)); the region manager maps it zero-filled on
+  // demand, so an untouched slice costs no memory.
+  void Init(uint32_t index, char* begin, char* end, uint32_t num_heap_regions,
+            uint64_t* slot_bits) {
     index_ = index;
     begin_ = begin;
     end_ = end;
+    slot_bits_ = slot_bits;
     remset_words_ = (num_heap_regions + 63) / 64;
     remset_ = std::make_unique<std::atomic<uint64_t>[]>(remset_words_);
     Reset();
@@ -62,6 +75,7 @@ class Region {
     top_.store(begin_, std::memory_order_relaxed);
     live_bytes_.store(0, std::memory_order_relaxed);
     ClearRemset();
+    ClearYoungSlots();
   }
 
   uint32_t index() const { return index_; }
@@ -217,6 +231,127 @@ class Region {
     }
   }
 
+  // --- Slot table (slots that may reference young objects) ----------------
+  // Words of the table covering this region: 64 slots (512 bytes) per word.
+  size_t slot_words() const { return capacity() / (kSlotsPerWord * sizeof(void*)); }
+  // Table words a young-slot scan must cover: up to top for bump-allocated
+  // regions, the whole region for humongous runs (their slots may lie in
+  // any region of the run, and continuation regions keep top at begin).
+  size_t slot_words_in_use() const {
+    if (IsHumongous()) {
+      return slot_words();
+    }
+    constexpr size_t kWordBytes = kSlotsPerWord * sizeof(void*);
+    return (used() + kWordBytes - 1) / kWordBytes;
+  }
+
+  // True when the table may hold a set bit. Whoever sets a bit (or, in a
+  // pause, keeps one) sets the flag; only a pause that rescans the whole
+  // table clears it. Lets pauses find young-slot sources without reading
+  // empty tables.
+  bool has_young_slots() const { return young_slots_.load(std::memory_order_relaxed); }
+  void set_has_young_slots(bool v) { young_slots_.store(v, std::memory_order_relaxed); }
+
+  // Records that `slot` (inside this region) may reference a young object.
+  // Check before fetch_or: most stores hit an already-set bit.
+  void AddYoungSlot(const void* slot) {
+    size_t bit = SlotIndex(slot);
+    std::atomic_ref<uint64_t> word(slot_bits_[bit / kSlotsPerWord]);
+    uint64_t mask = 1ULL << (bit % kSlotsPerWord);
+    if ((word.load(std::memory_order_relaxed) & mask) == 0) {
+      word.fetch_or(mask, std::memory_order_relaxed);
+      if (!has_young_slots()) {
+        set_has_young_slots(true);
+      }
+    }
+  }
+
+  bool HasYoungSlot(const void* slot) const {
+    size_t bit = SlotIndex(slot);
+    return (std::atomic_ref<uint64_t>(slot_bits_[bit / kSlotsPerWord])
+                .load(std::memory_order_relaxed) &
+            (1ULL << (bit % kSlotsPerWord))) != 0;
+  }
+
+  // Word-at-a-time ctz scan of table words [word_begin, word_end): calls
+  // keep(slot) for every set bit. With `clear` (world stopped only: a
+  // running mutator may be setting a bit in the same word), the bits whose
+  // callback returned false are dropped with one fetch_and per word.
+  // Returns how many visited bits remain set.
+  template <typename Fn>
+  size_t ScanYoungSlots(size_t word_begin, size_t word_end, bool clear, Fn&& keep) {
+    size_t kept = 0;
+    for (size_t w = word_begin; w < word_end; w++) {
+      std::atomic_ref<uint64_t> word(slot_bits_[w]);
+      uint64_t bits = word.load(std::memory_order_relaxed);
+      if (bits == 0) {
+        continue;
+      }
+      uint64_t drop = 0;
+      while (bits != 0) {
+        unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+        bits &= bits - 1;
+        auto* slot = reinterpret_cast<std::atomic<Object*>*>(
+            begin_ + (w * kSlotsPerWord + b) * sizeof(void*));
+        if (keep(slot)) {
+          kept++;
+        } else {
+          drop |= 1ULL << b;
+        }
+      }
+      if (clear && drop != 0) {
+        word.fetch_and(~drop, std::memory_order_relaxed);
+      }
+    }
+    return kept;
+  }
+
+  // Clears the bits of every slot in [from, to) (word-aligned addresses
+  // inside this region). Atomic per table word, so it may race with bit
+  // setters elsewhere in the same word.
+  void ClearYoungSlots(const char* from, const char* to) {
+    if (from >= to) {
+      return;
+    }
+    size_t b0 = SlotIndex(from);
+    size_t b1 = SlotIndex(to - sizeof(void*)) + 1;
+    while (b0 < b1) {
+      size_t w = b0 / kSlotsPerWord;
+      size_t lo = b0 % kSlotsPerWord;
+      size_t hi = std::min<size_t>(kSlotsPerWord, lo + (b1 - b0));
+      uint64_t mask = hi - lo == kSlotsPerWord ? ~0ULL : ((1ULL << (hi - lo)) - 1) << lo;
+      std::atomic_ref<uint64_t> word(slot_bits_[w]);
+      if ((word.load(std::memory_order_relaxed) & mask) != 0) {
+        word.fetch_and(~mask, std::memory_order_relaxed);
+      }
+      b0 += hi - lo;
+    }
+  }
+
+  // Clears the whole table (only touched when the flag says it may be set).
+  void ClearYoungSlots() {
+    if (!has_young_slots()) {
+      return;
+    }
+    for (size_t w = 0, n = slot_words(); w < n; w++) {
+      std::atomic_ref<uint64_t> word(slot_bits_[w]);
+      if (word.load(std::memory_order_relaxed) != 0) {
+        word.store(0, std::memory_order_relaxed);
+      }
+    }
+    set_has_young_slots(false);
+  }
+
+  // Set bits in the table (tests, verification).
+  size_t CountYoungSlots() const {
+    size_t n = 0;
+    for (size_t w = 0, words = slot_words(); w < words; w++) {
+      n += static_cast<size_t>(__builtin_popcountll(
+          std::atomic_ref<uint64_t>(slot_bits_[w]).load(std::memory_order_relaxed)));
+    }
+    return n;
+  }
+
   // Walks objects laid out contiguously in [begin, top). The callback gets
   // each object; must not change object sizes.
   template <typename Fn>
@@ -247,6 +382,14 @@ class Region {
   std::atomic<size_t> live_bytes_{0};
   uint32_t remset_words_ = 0;
   std::unique_ptr<std::atomic<uint64_t>[]> remset_;
+  uint64_t* slot_bits_ = nullptr;
+  std::atomic<bool> young_slots_{false};
+
+  static constexpr size_t kSlotsPerWord = 64;
+  size_t SlotIndex(const void* slot) const {
+    ROLP_DCHECK(Contains(slot));
+    return static_cast<size_t>(static_cast<const char*>(slot) - begin_) / sizeof(void*);
+  }
 };
 
 }  // namespace rolp

@@ -155,6 +155,15 @@ RegionManager::RegionManager(size_t heap_bytes, size_t region_bytes,
   }
   base_ = aligned;
   map_size_ = size;
+  region_shift_ = static_cast<unsigned>(std::countr_zero(region_bytes_));
+
+  // One slot bit per heap word. No memset: anonymous pages read back zero
+  // and only the slices of regions that ever record a young slot get backed.
+  slot_bits_bytes_ = size / (8 * sizeof(void*));
+  void* bits = mmap(nullptr, slot_bits_bytes_, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ROLP_CHECK_MSG(bits != MAP_FAILED, "slot table reservation failed");
+  slot_bits_ = static_cast<uint64_t*>(bits);
 
   if (opts_.thp) {
     if (madvise(base_, map_size_, MADV_HUGEPAGE) != 0) {
@@ -205,7 +214,8 @@ RegionManager::RegionManager(size_t heap_bytes, size_t region_bytes,
       uint32_t idx = i - 1;
       regions_[idx].Init(idx, base_ + static_cast<size_t>(idx) * region_bytes_,
                          base_ + static_cast<size_t>(idx + 1) * region_bytes_,
-                         static_cast<uint32_t>(num_regions_));
+                         static_cast<uint32_t>(num_regions_),
+                         slot_bits_ + static_cast<size_t>(idx) * (region_bytes_ / (64 * sizeof(void*))));
       arena_of_[idx] = static_cast<uint8_t>(a);
       arena->free_list.push_back(idx);
     }
@@ -239,6 +249,9 @@ RegionManager::~RegionManager() {
   }
   if (base_ != nullptr) {
     munmap(base_, map_size_);
+  }
+  if (slot_bits_ != nullptr) {
+    munmap(slot_bits_, slot_bits_bytes_);
   }
 }
 
@@ -459,11 +472,41 @@ void RegionManager::FreeRegion(Region* region) {
 }
 
 void RegionManager::RetireToOld(Region* region) {
+  bool was_young = region->IsYoung();
   if (!IsTenuredKind(region->kind())) {
     tenured_regions_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (was_young) {
+    // Pins into a young region live in the unscannable regions' slot bits;
+    // an old region is pinned by remset entry instead.
+    for (uint32_t u : UnscannableQuarantined()) {
+      if (UnscannableSlotsPointInto(regions_[u], region)) {
+        region->RemsetAddRegion(u);
+      }
+    }
+  }
   region->set_kind(RegionKind::kOld);
   region->set_gen(0);
+}
+
+bool RegionManager::UnscannableSlotsPointInto(Region& unscannable, const Region* target) {
+  if (!unscannable.has_young_slots()) {
+    return false;
+  }
+  // The region's tiling is broken, but its slot bits still name words inside
+  // it; read each as an untrusted value.
+  bool hit = false;
+  unscannable.ScanYoungSlots(0, unscannable.slot_words(), /*clear=*/false,
+                             [&](std::atomic<Object*>* slot) {
+                               Object* v = slot->load(std::memory_order_relaxed);
+                               if (v != nullptr && Contains(v) &&
+                                   reinterpret_cast<uintptr_t>(v) % kObjectAlignment == 0 &&
+                                   RegionFor(v) == target) {
+                                 hit = true;
+                               }
+                               return true;
+                             });
+  return hit;
 }
 
 void RegionManager::Quarantine(Region* region, bool walkable) {
@@ -509,23 +552,15 @@ std::vector<uint32_t> RegionManager::UnscannableQuarantined() const {
 }
 
 bool RegionManager::PinnedByQuarantine(const Region* region) const {
-  std::lock_guard<SpinLock> guard(quarantine_lock_);
-  for (uint32_t idx : unscannable_quarantined_) {
-    if (region->RemsetContainsRegion(idx)) {
+  std::vector<uint32_t> unscannable = UnscannableQuarantined();
+  auto* self = const_cast<RegionManager*>(this);
+  for (uint32_t idx : unscannable) {
+    if (region->RemsetContainsRegion(idx) ||
+        (region->IsYoung() && self->UnscannableSlotsPointInto(regions_[idx], region))) {
       return true;
     }
   }
   return false;
-}
-
-Region* RegionManager::RegionFor(const void* p) {
-  ROLP_DCHECK(Contains(p));
-  size_t idx = static_cast<size_t>(static_cast<const char*>(p) - base_) / region_bytes_;
-  return &regions_[idx];
-}
-
-const Region* RegionManager::RegionFor(const void* p) const {
-  return const_cast<RegionManager*>(this)->RegionFor(p);
 }
 
 size_t RegionManager::ArenaFreeRegions(size_t a) const {

@@ -360,7 +360,11 @@ void Profiler::ApplyInferenceOutput(InferenceOutput out) {
   }
 
   conflicts_total_ += out.conflicted_sites.size();
-  if (!out.conflicted_sites.empty()) {
+  bool new_conflict = false;
+  for (uint32_t site : out.conflicted_sites) {
+    new_conflict |= grown_conflict_sites_.insert(site).second;
+  }
+  if (new_conflict) {
     old_table_.GrowForConflict();
   }
   if (resolver_ != nullptr) {

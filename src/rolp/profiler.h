@@ -25,6 +25,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -305,6 +306,9 @@ class Profiler : public ProfilerHooks {
 
   uint64_t inferences_ = 0;
   uint64_t conflicts_total_ = 0;
+  // Sites the OLD table has grown for. A conflict grows it once (paper
+  // section 7.5: 4 MB per conflict), however many inferences re-report it.
+  std::unordered_set<uint32_t> grown_conflict_sites_;
   uint64_t tracking_toggles_ = 0;
   uint64_t first_decision_cycle_ = 0;
   std::atomic<uint64_t> survivors_seen_{0};

@@ -1,13 +1,15 @@
-// Process self-statistics read from /proc. Header-only: the one consumer-hot
-// call (RSS for the vm.rss_bytes gauge) is a single read of a tiny procfs
-// file, no caching.
+// Process self-statistics read from /proc and the scheduler. Header-only:
+// the one consumer-hot call (RSS for the vm.rss_bytes gauge) is a single read
+// of a tiny procfs file, no caching.
 #ifndef SRC_UTIL_PROC_STATS_H_
 #define SRC_UTIL_PROC_STATS_H_
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <thread>
 
 namespace rolp {
 
@@ -26,6 +28,23 @@ inline uint64_t CurrentRssBytes() {
     return 0;
   }
   return static_cast<uint64_t>(rss_pages) * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// CPUs the calling thread may run on (its sched_getaffinity mask), which is
+// what a pinned or cpuset-limited process really gets — unlike
+// std::thread::hardware_concurrency(), which counts the machine's CPUs.
+// Falls back to hardware_concurrency() when the mask is unavailable.
+inline unsigned AllowedCpuCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    int n = CPU_COUNT(&set);
+    if (n > 0) {
+      return static_cast<unsigned>(n);
+    }
+  }
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
 }
 
 }  // namespace rolp

@@ -16,6 +16,7 @@
 #include "src/util/env.h"
 #include "src/util/fault_injection.h"
 #include "src/util/metrics_registry.h"
+#include "src/util/proc_stats.h"
 #include "src/util/spinlock.h"
 #include "src/util/spsc_ring.h"
 #include "src/workloads/driver.h"
@@ -68,17 +69,6 @@ bool BlockingPop(SpscRing<ParsedEvent>& ring, ParsedEvent* ev, RuntimeThread* t)
   return ev->halt == 0;
 }
 
-PipelineMode ResolveMode(PipelineMode requested) {
-  if (requested != PipelineMode::kAuto) {
-    return requested;
-  }
-  // Three pipeline threads plus GC workers on fewer than four cores means
-  // every ring hand-off pays a scheduler quantum, which buries the GC signal
-  // the workload exists to measure. Fuse the stages onto one thread there.
-  unsigned cores = std::thread::hardware_concurrency();
-  return cores >= 4 ? PipelineMode::kThreaded : PipelineMode::kFused;
-}
-
 GcKind GcFor(ArmKind arm) {
   switch (arm) {
     case ArmKind::kG1:
@@ -94,6 +84,17 @@ GcKind GcFor(ArmKind arm) {
 }
 
 }  // namespace
+
+PipelineMode ResolveMode(PipelineMode requested) {
+  if (requested != PipelineMode::kAuto) {
+    return requested;
+  }
+  // Three pipeline threads plus GC workers on fewer than four CPUs means
+  // every ring hand-off pays a scheduler quantum, which buries the GC signal
+  // the workload exists to measure. Fuse the stages onto one thread there.
+  // Count the CPUs this process may run on, not the machine's.
+  return AllowedCpuCount() >= 4 ? PipelineMode::kThreaded : PipelineMode::kFused;
+}
 
 const char* ArmName(ArmKind arm) {
   switch (arm) {

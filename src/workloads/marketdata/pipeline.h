@@ -91,6 +91,10 @@ struct IngestResult {
   BookStats book;
 };
 
+// The mode a run with `requested` uses: kAuto becomes kThreaded when the
+// process may run on at least four CPUs (sched_getaffinity), else kFused.
+PipelineMode ResolveMode(PipelineMode requested);
+
 // Runs the full pipeline for one arm. Deterministic feed for a given seed,
 // so two arms with the same options see byte-identical event streams.
 IngestResult RunIngest(ArmKind arm, const IngestOptions& options);

@@ -115,12 +115,61 @@ TEST_F(VerifyRecoveryTest, DroppedRemsetIsCaughtAndSurvivedViaQuarantine) {
                            << (report.errors.empty() ? "" : report.errors[0]);
 }
 
+// Evacuation failure retires the failed young region in place, dead objects
+// included, and those dead objects reference young objects the pause does
+// not reach. The pause scans them like any tenured slot, so nothing in the
+// retired region references a region the pause frees: the post-evacuation
+// check reports nothing and quarantines nothing.
+TEST_F(VerifyRecoveryTest, EvacuationFailureRegionReferencesNoFreedRegion) {
+  GcConfig cfg;
+  cfg.num_workers = 1;
+  cfg.mixed_trigger_occupancy = 2.0;  // young pauses only
+  h_.Start(32, cfg);
+  GcTestEnv& env = *h_.env;
+  RegionManager& regions = env.heap->regions();
+
+  // Young nodes over several eden regions, each pointing about 1.2 MB back:
+  // every node of the last region references an earlier region.
+  constexpr uint64_t kNodes = 60000;
+  constexpr uint64_t kStride = 30000;
+  size_t arr = env.PushRoot(env.AllocRefArray(kNodes));
+  for (uint64_t i = 0; i < kNodes; i++) {
+    Object* n = env.AllocInstance(h_.node_cls);
+    ASSERT_NE(n, nullptr);
+    if (i >= kStride) {
+      env.SetField(n, 0, env.GetElem(env.Root(arr), i - kStride));
+    }
+    env.SetElem(env.Root(arr), i, n);
+  }
+  Object* tail = env.GetElem(env.Root(arr), kNodes - 1);
+  Region* failing = regions.RegionFor(tail);
+  ASSERT_NE(regions.RegionFor(env.GetField(tail, 0)), failing);
+  // Only the tail (and the chain behind it) stays live: it is the pause's
+  // first copy, and the first to-space region fails, so the tail
+  // self-forwards and its region is retired with the other nodes dead in it.
+  env.PushRoot(tail);
+  env.SetRoot(arr, nullptr);
+  fi().ArmOnceAtHit("heap.region.oom", 1);
+  ASSERT_TRUE(static_cast<RegionalCollector*>(env.collector.get())->CollectNow(&env.ctx));
+  fi().Disarm("heap.region.oom");
+
+  EXPECT_EQ(fi().Fires("heap.region.oom"), 1u);
+  EXPECT_GT(env.PausesOfKind(PauseKind::kFull), 0u);  // the failure escalated
+  const VerifyStats& vs = env.collector->verify_stats();
+  EXPECT_GT(vs.passes, 0u);
+  EXPECT_EQ(vs.findings, 0u);
+  EXPECT_EQ(vs.regions_quarantined, 0u);
+  HeapVerifier verifier(env.heap.get(), &env.safepoints);
+  EXPECT_TRUE(verifier.Verify().ok());
+}
+
 // --- Quarantine pinning across collection kinds -----------------------------
 // An unscannable quarantined region holds references that can never be
-// rescanned or healed, so every region its remset entries name (simulated
-// below by seeding the remset directly) must be pinned: kept in place by
-// full compaction, never selected as a mixed-collection candidate, and —
-// when young — retired in place with its outgoing edges re-recorded.
+// rescanned or healed, so every region it references — old regions through
+// the remset entries naming it (simulated below by seeding the remset
+// directly), young regions through its slot bits — must be pinned: kept in
+// place by full compaction, never selected as a mixed-collection candidate,
+// and — when young — retired in place with its outgoing edges re-recorded.
 
 // Allocates a fresh old region holding one node, simulating a region whose
 // objects are referenced only from the unscannable region `u`.
@@ -195,11 +244,14 @@ TEST_F(VerifyRecoveryTest, PinnedYoungRetirementRecordsOutgoingEdges) {
 
   Region* u = regions.AllocateRegion(RegionKind::kOld);
   ASSERT_NE(u, nullptr);
+  size_t bytes = env.heap->InstanceAllocSize(h_.node_cls);
+  Object* u_holder = env.heap->InitializeObject(u->BumpAlloc(bytes), h_.node_cls, bytes, 0, 0);
   regions.Quarantine(u, /*walkable=*/false);
 
   // z young; y young in a different region with y->z (a young-to-young edge,
   // which the write barrier never records). Neither is rooted: z is reachable
-  // only through y, and y only through the simulated unscannable region u.
+  // only through y, and y only through the unscannable region u, whose slot
+  // bit records the edge u -> y.
   Object* z = env.AllocInstance(h_.node_cls);
   ASSERT_NE(z, nullptr);
   Region* rz = regions.RegionFor(z);
@@ -211,7 +263,9 @@ TEST_F(VerifyRecoveryTest, PinnedYoungRetirementRecordsOutgoingEdges) {
     ry = regions.RegionFor(y);
   }
   env.SetField(y, 0, z);
-  ry->RemsetAddRegion(u->index());
+  env.SetField(u_holder, 0, y);
+  ASSERT_TRUE(u->HasYoungSlot(u_holder->RefSlotAt(0)));
+  EXPECT_EQ(ry->RemsetRegionCount(), 0u);
   ASSERT_TRUE(regions.PinnedByQuarantine(ry));
 
   env.ChurnYoung(12 * 1024 * 1024);  // at least one young collection
@@ -221,6 +275,9 @@ TEST_F(VerifyRecoveryTest, PinnedYoungRetirementRecordsOutgoingEdges) {
   // field points at a live relocated object, not into a freed region.
   EXPECT_FALSE(ry->IsYoung());
   ASSERT_FALSE(ry->IsFree());
+  // Retired to old, the region stays pinned by a remset entry.
+  EXPECT_TRUE(ry->RemsetContainsRegion(u->index()));
+  EXPECT_TRUE(regions.PinnedByQuarantine(ry));
   EXPECT_EQ(y->class_id, h_.node_cls);
   Object* z2 = env.GetField(y, 0);
   ASSERT_NE(z2, nullptr);

@@ -142,10 +142,12 @@ TEST_F(HeapVerifierTest, DetectsMissingRemsetEntry) {
   ASSERT_EQ(env_->heap->regions().RegionFor(env_->Root(ra))->kind(), RegionKind::kOld);
   Object* young = env_->AllocInstance(node_cls_);
   env_->SetField(env_->Root(ra), 0, young);
-  Region* young_region = env_->heap->regions().RegionFor(env_->GetField(env_->Root(ra), 0));
+  Region* old_region = env_->heap->regions().RegionFor(env_->Root(ra));
+  ASSERT_TRUE(old_region->HasYoungSlot(env_->Root(ra)->RefSlotAt(0)));
   ASSERT_TRUE(VerifyNow().ok());
-  // Sabotage: clear the young region's remembered set.
-  young_region->ClearRemset();
+  // Sabotage: drop the old region's slot bits (the old -> young edge's only
+  // record).
+  old_region->ClearYoungSlots();
   EXPECT_FALSE(VerifyNow().ok());
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -196,6 +199,45 @@ TEST(WorkStealingPoolTest, ExternalUnitsBlockTermination) {
   EXPECT_FALSE(pool.Done());
   pool.FinishOne();  // last external unit
   EXPECT_TRUE(pool.Done());
+}
+
+// An idle worker parks instead of spinning: while the only other worker
+// holds its last unit for 60 ms, the idle one burns a small fraction of that
+// in CPU, and a Push wakes it to take the published item.
+TEST(WorkStealingPoolTest, IdleWorkerParksAndWakesOnPush) {
+  WorkStealingPool<int> pool(2);
+  pool.AddOutstanding(1);  // the busy worker's unit
+  std::atomic<int> taken{-1};
+  uint64_t idle_cpu_ns = 0;
+  std::thread idle([&] {
+    timespec c0;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &c0);
+    uint32_t rounds = 0;
+    int v = -1;
+    while (!pool.Done()) {
+      if (pool.TryGet(1, &v)) {
+        taken.store(v);
+        rounds = 0;
+        pool.FinishOne();
+        continue;
+      }
+      pool.Idle(&rounds);
+    }
+    timespec c1;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &c1);
+    idle_cpu_ns = static_cast<uint64_t>(c1.tv_sec - c0.tv_sec) * 1000000000ull +
+                  static_cast<uint64_t>(c1.tv_nsec - c0.tv_nsec);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  pool.Push(0, 7);  // worker 0 publishes an item, then finishes its unit
+  for (int i = 0; i < 2000 && taken.load() < 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pool.FinishOne();
+  idle.join();
+  EXPECT_EQ(taken.load(), 7);
+  EXPECT_TRUE(pool.Done());
+  EXPECT_LT(idle_cpu_ns, 20ull * 1000 * 1000);
 }
 
 }  // namespace

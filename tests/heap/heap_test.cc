@@ -99,17 +99,44 @@ TEST_F(HeapTest, ForEachRefSlotDataArrayHasNone) {
   EXPECT_EQ(count, 0);
 }
 
-TEST_F(HeapTest, StoreBarrierRecordsCrossRegionTenuredToYoung) {
-  ClassId cls = heap_->classes().RegisterInstance("Link", 8, {0});
-  Region* old_r = heap_->regions().AllocateRegion(RegionKind::kOld);
-  Region* eden_r = heap_->regions().AllocateRegion(RegionKind::kEden);
-  Object* src = AllocInRegion(old_r, cls, heap_->InstanceAllocSize(cls));
+// Barrier table: tenured (old, gen, humongous) -> young stores set exactly
+// the stored slot's bit in the slot's own region and leave the young region
+// without remset entries; young -> young, same-region, null and
+// old -> old stores set no bit (old -> old records a source entry instead).
+TEST_F(HeapTest, StoreBarrierRecordsSlotBitForTenuredToYoung) {
+  ClassId cls = heap_->classes().RegisterInstance("Link", 16, {0, 8});
+  RegionManager& regions = heap_->regions();
+  Region* eden_r = regions.AllocateRegion(RegionKind::kEden);
   Object* dst = AllocInRegion(eden_r, cls, heap_->InstanceAllocSize(cls));
-  heap_->StoreRef(src, src->RefSlotAt(0), dst);
-  EXPECT_TRUE(eden_r->RemsetContainsRegion(old_r->index()));
-  EXPECT_EQ(eden_r->RemsetRegionCount(), 1u);
-  EXPECT_EQ(old_r->RemsetRegionCount(), 0u);
-  EXPECT_EQ(heap_->LoadRef(src->RefSlotAt(0)), dst);
+  for (RegionKind kind : {RegionKind::kOld, RegionKind::kGen}) {
+    Region* src_r = regions.AllocateRegion(kind, kind == RegionKind::kGen ? 3 : 0);
+    Object* src = AllocInRegion(src_r, cls, heap_->InstanceAllocSize(cls));
+    ASSERT_FALSE(src_r->has_young_slots());
+    heap_->StoreRef(src, src->RefSlotAt(8), dst);
+    EXPECT_TRUE(src_r->HasYoungSlot(src->RefSlotAt(8)));
+    EXPECT_FALSE(src_r->HasYoungSlot(src->RefSlotAt(0)));
+    EXPECT_EQ(src_r->CountYoungSlots(), 1u);
+    EXPECT_TRUE(src_r->has_young_slots());
+    heap_->StoreRef(src, src->RefSlotAt(8), dst);  // already recorded
+    EXPECT_EQ(src_r->CountYoungSlots(), 1u);
+    EXPECT_EQ(heap_->LoadRef(src->RefSlotAt(8)), dst);
+  }
+  // A humongous ref array: the slot's bit lands in the continuation region
+  // that holds it, not in the head region.
+  uint64_t len = 2 * kMiB / sizeof(Object*);
+  size_t bytes = heap_->RefArrayAllocSize(len);
+  Region* head = regions.AllocateHumongous(bytes);
+  ASSERT_NE(head, nullptr);
+  Object* big = heap_->InitializeObject(head->begin(), heap_->classes().ref_array_class(),
+                                        bytes, len, 0);
+  std::atomic<Object*>* far_slot = big->RefArraySlot(len - 1);
+  Region* cont = regions.RegionFor(far_slot);
+  ASSERT_EQ(cont->kind(), RegionKind::kHumongousCont);
+  heap_->StoreRef(big, far_slot, dst);
+  EXPECT_TRUE(cont->HasYoungSlot(far_slot));
+  EXPECT_EQ(cont->CountYoungSlots(), 1u);
+  EXPECT_EQ(head->CountYoungSlots(), 0u);
+  EXPECT_EQ(eden_r->RemsetRegionCount(), 0u);
 }
 
 TEST_F(HeapTest, StoreBarrierSkipsYoungToYoung) {
@@ -120,6 +147,8 @@ TEST_F(HeapTest, StoreBarrierSkipsYoungToYoung) {
   Object* dst = AllocInRegion(b, cls, heap_->InstanceAllocSize(cls));
   heap_->StoreRef(src, src->RefSlotAt(0), dst);
   EXPECT_EQ(b->RemsetRegionCount(), 0u);
+  EXPECT_EQ(a->CountYoungSlots(), 0u);
+  EXPECT_FALSE(a->has_young_slots());
 }
 
 TEST_F(HeapTest, StoreBarrierRecordsOldToOldCrossRegion) {
@@ -130,6 +159,7 @@ TEST_F(HeapTest, StoreBarrierRecordsOldToOldCrossRegion) {
   Object* dst = AllocInRegion(b, cls, heap_->InstanceAllocSize(cls));
   heap_->StoreRef(src, src->RefSlotAt(0), dst);
   EXPECT_TRUE(b->RemsetContainsRegion(a->index()));
+  EXPECT_EQ(a->CountYoungSlots(), 0u);
 }
 
 TEST_F(HeapTest, StoreBarrierSkipsSameRegionAndNull) {
@@ -140,6 +170,8 @@ TEST_F(HeapTest, StoreBarrierSkipsSameRegionAndNull) {
   heap_->StoreRef(src, src->RefSlotAt(0), dst);
   heap_->StoreRef(src, src->RefSlotAt(8), nullptr);
   EXPECT_EQ(a->RemsetRegionCount(), 0u);
+  EXPECT_EQ(a->CountYoungSlots(), 0u);
+  EXPECT_FALSE(a->has_young_slots());
 }
 
 TEST_F(HeapTest, GlobalRefRegistersAndUnregisters) {

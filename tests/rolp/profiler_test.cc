@@ -136,6 +136,20 @@ TEST(ProfilerTest, ConflictGrowsTableAndEngagesResolver) {
   EXPECT_EQ(p.resolver()->phase(), ConflictResolver::Phase::kTrying);
   // No decision from an ambiguous curve.
   EXPECT_EQ(p.TargetGen(ctx), 0u);
+
+  // The same conflict reported by the next inference grows nothing more.
+  uint64_t conflicts_before = p.conflicts_total();
+  for (int i = 0; i < 2000; i++) {
+    p.RecordAllocation(ctx);
+  }
+  for (int i = 0; i < 800; i++) {
+    for (uint32_t age = 0; age < 6; age++) {
+      p.OnSurvivor(0, MarkFor(ctx, age));
+    }
+  }
+  p.OnGcEnd({8, 1000, PauseKind::kYoung});
+  EXPECT_GT(p.conflicts_total(), conflicts_before);
+  EXPECT_EQ(p.old_table().grow_count(), grow_before + 1);
 }
 
 TEST(ProfilerTest, SurvivorTrackingShutsOffWhenStable) {

@@ -3,10 +3,13 @@
 // governor-throttle-under-GC regression for the pipeline threads.
 #include "src/workloads/marketdata/pipeline.h"
 
+#include <sched.h>
+
 #include <cstdlib>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/util/proc_stats.h"
 #include "src/workloads/marketdata/book.h"
 #include "src/workloads/marketdata/feed.h"
 
@@ -23,6 +26,26 @@ IngestOptions FastOptions() {
   o.heap_mb = 64;
   o.mode = PipelineMode::kFused;  // deterministic on any core count
   return o;
+}
+
+// kAuto counts the CPUs the process may run on, not the machine's: pinned to
+// one CPU, the pipeline fuses its stages.
+TEST(PipelineModeTest, AutoCountsAllowedCpus) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) {
+    cpu++;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);  // this thread only
+  EXPECT_EQ(AllowedCpuCount(), 1u);
+  EXPECT_EQ(ResolveMode(PipelineMode::kAuto), PipelineMode::kFused);
+  EXPECT_EQ(ResolveMode(PipelineMode::kThreaded), PipelineMode::kThreaded);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(AllowedCpuCount(), static_cast<unsigned>(CPU_COUNT(&saved)));
 }
 
 TEST(FeedGeneratorTest, DeterministicForSeed) {
