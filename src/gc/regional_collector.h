@@ -105,8 +105,9 @@ class RegionalCollector : public Collector {
   // records the initial pause, and spawns the driver thread.
   void StartConcurrentEvacuation(std::unique_ptr<EvacuationCycle> cycle, uint64_t t0,
                                  uint64_t mark_ns);
-  // Claims the cycle's units (root chunks, remset sources, scrub regions) and
-  // drains the work-stealing pool on every GC worker.
+  // Claims the cycle's units (root chunks, scrub regions, young-slot table
+  // ranges, old-target remset sources) and drains the work-stealing pool on
+  // every GC worker.
   void RunEvacuationWorkers(EvacuationCycle& c);
   // Driver thread body: runs the copy workers off-pause under the watchdog's
   // kConcurrentEvac deadline, then stops the world for the final remap pause.
