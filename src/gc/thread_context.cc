@@ -5,10 +5,8 @@
 namespace rolp {
 
 void SafepointManager::RegisterThread(MutatorContext* ctx) {
-  std::lock_guard<std::mutex> guard(mu_);
-  // A thread must not register while a stop is in progress in a way that the
-  // VM-op thread misses it; holding mu_ makes registration atomic with the
-  // stop protocol.
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_resume_.wait(lock, [&] { return !operation_active_; });
   threads_.push_back(ctx);
 }
 

@@ -31,6 +31,10 @@ struct MutatorContext {
 
 class SafepointManager {
  public:
+  // Blocks while a VM operation is running: the operation stopped only the
+  // threads registered when it began, so a thread joining mid-operation
+  // must not run mutator code until the world resumes. Must not be called
+  // while holding a lock that an operation takes.
   void RegisterThread(MutatorContext* ctx);
   void UnregisterThread(MutatorContext* ctx);
 

@@ -471,11 +471,17 @@ void VM::WriteObservabilityDumps() {
 }
 
 RuntimeThread* VM::AttachThread() {
-  std::lock_guard<SpinLock> guard(threads_lock_);
-  auto owned = std::make_unique<RuntimeThread>(this, next_thread_id_++);
-  RuntimeThread* t = owned.get();
-  all_threads_.push_back(std::move(owned));
-  threads_.push_back(t);
+  RuntimeThread* t;
+  {
+    std::lock_guard<SpinLock> guard(threads_lock_);
+    auto owned = std::make_unique<RuntimeThread>(this, next_thread_id_++);
+    t = owned.get();
+    all_threads_.push_back(std::move(owned));
+    threads_.push_back(t);
+  }
+  // Outside threads_lock_: registration waits out a running GC pause, and
+  // the pause's end-of-GC hook takes threads_lock_. The hook may meanwhile
+  // visit t, whose owner is blocked here and runs no mutator code.
   safepoints_.RegisterThread(&t->gc_context());
   return t;
 }

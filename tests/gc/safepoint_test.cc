@@ -150,5 +150,28 @@ TEST(SafepointTest, ThreadExitDuringStopRequest) {
   sp.UnregisterThread(&main_ctx);
 }
 
+// A thread that registers while the world is stopped was not stopped by the
+// operation, so it must not get to run mutator code until the operation
+// ends.
+TEST(SafepointTest, RegistrationWaitsOutRunningOperation) {
+  SafepointManager sp;
+  MutatorContext main_ctx;
+  sp.RegisterThread(&main_ctx);
+  ASSERT_TRUE(sp.BeginOperation(&main_ctx));
+  std::atomic<bool> registered{false};
+  std::thread t([&] {
+    MutatorContext ctx;
+    sp.RegisterThread(&ctx);
+    registered.store(true);
+    sp.UnregisterThread(&ctx);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(registered.load()) << "a thread registered into a stopped world";
+  sp.EndOperation(&main_ctx);
+  t.join();
+  EXPECT_TRUE(registered.load());
+  sp.UnregisterThread(&main_ctx);
+}
+
 }  // namespace
 }  // namespace rolp
